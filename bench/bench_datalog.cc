@@ -5,10 +5,21 @@
 // Expected shape: Dat's closure ≈ Sat's saturation (same fixpoint, higher
 // constant factors); per-query evaluation then comparable to Sat; Ref
 // avoids the upfront cost entirely.
+//
+// `--max-dat-vs-sat=R` adds an in-run gate: whole-suite Dat and Sat passes
+// alternate in this process, and the run exits non-zero when the median
+// Dat pass takes more than R times the median Sat pass. Both sides share
+// the machine and the heap, so the ratio holds on noisy runners.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <vector>
+
+#include "common/timer.h"
 
 #include "bench/bench_common.h"
 #include "datalog/rdf_datalog.h"
@@ -53,6 +64,51 @@ void PrintDatalogTable() {
   std::printf("\n");
 }
 
+// Milliseconds of one pass over the LUBM suite under `strategy`.
+double SuitePassMillis(api::QueryAnswerer* answerer,
+                       const std::vector<query::Cq>& suite,
+                       api::Strategy strategy) {
+  Timer timer;
+  for (const query::Cq& q : suite) {
+    auto table = answerer->Answer(q, strategy);
+    benchmark::DoNotOptimize(table);
+  }
+  return timer.ElapsedMillis();
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// The T7 gate: returns false when Dat's suite pass exceeds `max_ratio`
+// times Sat's. Repetitions alternate which strategy goes first.
+bool DatVsSatGate(double max_ratio) {
+  api::QueryAnswerer* answerer = SharedLubm();
+  std::vector<query::Cq> suite;
+  for (const auto& [name, text] : LubmQuerySuite()) {
+    suite.push_back(ParseUb(answerer, text));
+  }
+  constexpr int kReps = 9;
+  std::vector<double> sat, dat;
+  for (int rep = 0; rep < kReps; ++rep) {
+    if (rep % 2 == 0) {
+      sat.push_back(SuitePassMillis(answerer, suite, api::Strategy::kSaturation));
+      dat.push_back(SuitePassMillis(answerer, suite, api::Strategy::kDatalog));
+    } else {
+      dat.push_back(SuitePassMillis(answerer, suite, api::Strategy::kDatalog));
+      sat.push_back(SuitePassMillis(answerer, suite, api::Strategy::kSaturation));
+    }
+  }
+  const double sat_ms = Median(sat), dat_ms = Median(dat);
+  const double ratio = dat_ms / sat_ms;
+  std::printf("T7 gate: suite pass DAT %.2f ms / SAT %.2f ms = %.2fx "
+              "(median of %d alternating passes; limit %.1fx) %s\n\n",
+              dat_ms, sat_ms, ratio, kReps, max_ratio,
+              ratio <= max_ratio ? "PASS" : "FAIL");
+  return ratio <= max_ratio;
+}
+
 void BM_DatalogClosure(benchmark::State& state) {
   api::QueryAnswerer* answerer = SharedLubm();
   for (auto _ : state) {
@@ -81,7 +137,20 @@ BENCHMARK(BM_DatalogQuery)->Unit(benchmark::kMillisecond);
 }  // namespace rdfref
 
 int main(int argc, char** argv) {
+  // Consume --max-dat-vs-sat=R before google-benchmark sees the flags.
+  const char* kGateFlag = "--max-dat-vs-sat=";
+  double max_ratio = 0.0;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], kGateFlag, std::strlen(kGateFlag)) == 0) {
+      max_ratio = std::atof(argv[i] + std::strlen(kGateFlag));
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
   rdfref::bench::PrintDatalogTable();
+  if (max_ratio > 0.0 && !rdfref::bench::DatVsSatGate(max_ratio)) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,6 +1,6 @@
 #include "datalog/rdf_datalog.h"
 
-#include <limits>
+#include <span>
 
 #include "common/timer.h"
 #include "rdf/vocab.h"
@@ -21,20 +21,6 @@ DatalogAnswerer::DatalogAnswerer(const storage::TripleSource* source)
   triple_ = program_.AddPredicate("triple", 3);
   resource_ = program_.AddPredicate("resource", 1);
   tri_ = program_.AddPredicate("tri", 3);
-
-  // EDB: the explicit triples, and the non-literal values.
-  store_->Scan(storage::kAny, storage::kAny, storage::kAny,
-               [this](const rdf::Triple& t) {
-                 (void)program_.AddFact(triple_, {t.s, t.p, t.o});
-               });
-  const rdf::Dictionary& dict = store_->dict();
-  // Dense 0..size-1 enumeration of every dictionary entry — valid under
-  // any id permutation.  // rdfref-check: allow(termid-arith)
-  for (rdf::TermId id = 0; id < dict.size(); ++id) {
-    if (!dict.Lookup(id).is_literal()) {
-      (void)program_.AddFact(resource_, {id});
-    }
-  }
 
   // IDB: tri = the RDFS closure. Variables are rule-local: 0=S, 1=P/C1,
   // 2=O/C2, 3=auxiliary.
@@ -86,6 +72,22 @@ void DatalogAnswerer::EnsureClosure() {
   ran_ = true;
   Timer timer;
   evaluator_ = std::make_unique<SemiNaive>(&program_);
+  // EDB: the explicit triples, read in one batch straight into the triple
+  // relation, and the non-literal values.
+  storage::PatternCursor cursor;
+  for (const rdf::Triple& t :
+       cursor.Reset(*store_, storage::kAny, storage::kAny, storage::kAny)) {
+    const rdf::TermId tuple[3] = {t.s, t.p, t.o};
+    evaluator_->InsertFact(triple_, tuple);
+  }
+  const rdf::Dictionary& dict = store_->dict();
+  // Dense 0..size-1 enumeration of every dictionary entry — valid under
+  // any id permutation.  // rdfref-check: allow(termid-arith)
+  for (rdf::TermId id = 0; id < dict.size(); ++id) {
+    if (!dict.Lookup(id).is_literal()) {
+      evaluator_->InsertFact(resource_, std::span<const rdf::TermId>(&id, 1));
+    }
+  }
   evaluator_->Run();
   closure_millis_ = timer.ElapsedMillis();
 }
@@ -122,15 +124,9 @@ Result<engine::Table> DatalogAnswerer::Answer(const query::Cq& q) {
     rule.body.push_back(DlAtom(resource_, {DlTerm::Var(v)}));
   }
 
-  engine::Table table;
+  engine::Table table = evaluator_->EvaluateRuleOnce(rule);
   for (const QTerm& h : q.head()) {
-    table.columns.push_back(h.is_var
-                                ? h.var()
-                                : std::numeric_limits<query::VarId>::max());
-  }
-  table.SetArity(q.head().size());
-  for (const std::vector<rdf::TermId>& row : evaluator_->EvaluateRuleOnce(rule)) {
-    table.AppendRow(row);
+    table.columns.push_back(h.is_var ? h.var() : engine::kConstColumn);
   }
   table.Dedup();
   return table;

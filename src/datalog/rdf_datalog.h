@@ -25,11 +25,13 @@ namespace datalog {
 ///         rule per RDFS entailment rule (instance *and* schema level)
 ///   query ans(head) :- tri(t1), ..., tri(tα).
 ///
-/// The closure runs once (semi-naive, lazily at the first Answer call);
-/// each query is then a single-pass rule evaluation over `tri`.
+/// The closure runs once (semi-naive, lazily at the first Answer call or
+/// EnsureClosure), reading the source's triples in one batch scan at that
+/// point; each query is then a single-pass rule evaluation over `tri`.
 class DatalogAnswerer {
  public:
-  /// \brief `source` must outlive the answerer.
+  /// \brief `source` must outlive the answerer and stay unmodified until
+  /// the closure has run.
   explicit DatalogAnswerer(const storage::TripleSource* source);
 
   /// \brief Answers a conjunctive query against the encoded program.

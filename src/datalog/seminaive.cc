@@ -1,31 +1,31 @@
 #include "datalog/seminaive.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rdfref {
 namespace datalog {
 
 namespace {
 constexpr rdf::TermId kUnbound = rdf::kInvalidTermId;
-const std::vector<size_t> kNoMatches;
 }  // namespace
 
-bool DlRelation::Insert(const std::vector<rdf::TermId>& tuple) {
-  if (!set_.insert(tuple).second) return false;
-  tuples_.push_back(tuple);
-  return true;
+DlRelation::DlRelation(size_t arity)
+    : arity_(arity), set_(arity, 0, arity) {
+  columns_.reserve(arity);
+  for (size_t c = 0; c < arity; ++c) columns_.emplace_back(arity, c, 1);
 }
 
-const std::vector<size_t>& DlRelation::Matching(size_t col,
-                                                rdf::TermId value) const {
-  ColumnIndex& index = indexes_[col];
-  // Extend the index over tuples appended since the last lookup.
-  for (size_t i = index.built_upto; i < tuples_.size(); ++i) {
-    index.map[tuples_[i][col]].push_back(i);
+bool DlRelation::Insert(std::span<const rdf::TermId> tuple) {
+  // Stage the tuple as row size_ of the arena; keep it only when new.
+  data_.insert(data_.end(), tuple.begin(), tuple.end());
+  if (set_.FindOrInsert(data_.data(), size_) != size_) {
+    data_.resize(size_ * arity_);
+    return false;
   }
-  index.built_upto = tuples_.size();
-  auto it = index.map.find(value);
-  return it == index.map.end() ? kNoMatches : it->second;
+  for (engine::RowIndex& column : columns_) column.Append(data_.data(), size_);
+  ++size_;
+  return true;
 }
 
 SemiNaive::SemiNaive(const Program* program) : program_(program) {
@@ -51,44 +51,74 @@ size_t SemiNaive::CountRuleVars(const DlRule& rule) {
   return any ? max_var + 1 : 0;
 }
 
-void SemiNaive::JoinBody(const DlAtom& head,
-                         const std::vector<const DlAtom*>& order,
-                         size_t depth, const DlRelation* first_override,
-                         std::vector<rdf::TermId>* bindings,
-                         std::vector<std::vector<rdf::TermId>>* out) const {
-  if (depth == order.size()) {
-    std::vector<rdf::TermId> tuple;
-    tuple.reserve(head.args.size());
-    for (const DlTerm& t : head.args) {
-      tuple.push_back(t.is_var ? (*bindings)[t.id] : t.id);
+// One rule-body join in progress. order[0, depth) are joined, order[depth,
+// n) pending; JoinBody permutes the pending suffix only.
+struct SemiNaive::Join {
+  const DlAtom* head;
+  std::vector<const DlAtom*> order;
+  std::vector<rdf::TermId> bindings;
+  // Semi-naive delta: when set, order[0] reads only the tuples
+  // [delta_lo, delta_hi) of its relation and is joined first.
+  bool has_delta = false;
+  size_t delta_lo = 0;
+  size_t delta_hi = 0;
+  engine::Table* out;
+};
+
+void SemiNaive::JoinBody(Join* join, size_t depth) const {
+  std::vector<rdf::TermId>& bindings = join->bindings;
+  if (depth == join->order.size()) {
+    rdf::TermId* slot = join->out->AppendUninitialized();
+    const std::vector<DlTerm>& args = join->head->args;
+    for (size_t k = 0; k < args.size(); ++k) {
+      slot[k] = args[k].is_var ? bindings[args[k].id] : args[k].id;
     }
-    out->push_back(std::move(tuple));
     return;
   }
-  const DlAtom& atom = *order[depth];
-  const DlRelation& rel = (depth == 0 && first_override != nullptr)
-                              ? *first_override
-                              : relations_[atom.pred];
 
-  // Pick an access path: an index lookup on the first constant-or-bound
-  // argument, else a full scan.
-  int key_col = -1;
-  rdf::TermId key_value = kUnbound;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const DlTerm& t = atom.args[i];
-    if (!t.is_var) {
-      key_col = static_cast<int>(i);
-      key_value = t.id;
-      break;
+  // The access path of an atom: a full scan, or the posting chain of its
+  // most selective constant-or-bound column.
+  struct Access {
+    size_t cost;
+    bool chained = false;
+    engine::RowIndex::Chain chain;
+  };
+  auto best_access = [&](const DlAtom& atom, size_t scan_cost) {
+    const DlRelation& rel = relations_[atom.pred];
+    Access access{scan_cost, false, {}};
+    for (size_t i = 0; i < atom.args.size() && access.cost > 0; ++i) {
+      const DlTerm& t = atom.args[i];
+      const rdf::TermId value = t.is_var ? bindings[t.id] : t.id;
+      if (value == kUnbound) continue;
+      engine::RowIndex::Chain chain = rel.Matching(i, value);
+      if (chain.size() < access.cost) access = {chain.size(), true, chain};
     }
-    if ((*bindings)[t.id] != kUnbound) {
-      key_col = static_cast<int>(i);
-      key_value = (*bindings)[t.id];
-      break;
+    return access;
+  };
+
+  const bool delta = depth == 0 && join->has_delta;
+  Access access{0, false, {}};
+  if (delta) {
+    access = best_access(*join->order[0], join->delta_hi - join->delta_lo);
+  } else {
+    // Bound-first: the pending atom with the shortest access path next.
+    size_t pick = depth;
+    for (size_t j = depth; j < join->order.size(); ++j) {
+      const DlAtom& atom = *join->order[j];
+      Access candidate = best_access(atom, relations_[atom.pred].size());
+      if (j == depth || candidate.cost < access.cost) {
+        access = candidate;
+        pick = j;
+      }
+      if (access.cost == 0) return;  // an empty chain: no match below
     }
+    std::swap(join->order[depth], join->order[pick]);
   }
+  if (access.cost == 0) return;
 
-  auto try_tuple = [&](const std::vector<rdf::TermId>& tuple) {
+  const DlAtom& atom = *join->order[depth];
+  const DlRelation& rel = relations_[atom.pred];
+  auto try_tuple = [&](std::span<const rdf::TermId> tuple) {
     // Program::AddRule bounds body-atom arity to kMaxBodyArity.
     uint32_t newly[kMaxBodyArity];
     int num_new = 0;
@@ -98,7 +128,7 @@ void SemiNaive::JoinBody(const DlAtom& head,
       if (!t.is_var) {
         ok = tuple[i] == t.id;
       } else {
-        rdf::TermId& slot = (*bindings)[t.id];
+        rdf::TermId& slot = bindings[t.id];
         if (slot == kUnbound) {
           slot = tuple[i];
           newly[num_new++] = t.id;
@@ -107,21 +137,23 @@ void SemiNaive::JoinBody(const DlAtom& head,
         }
       }
     }
-    if (ok) JoinBody(head, order, depth + 1, first_override, bindings, out);
-    for (int k = 0; k < num_new; ++k) (*bindings)[newly[k]] = kUnbound;
+    if (ok) JoinBody(join, depth + 1);
+    for (int k = 0; k < num_new; ++k) bindings[newly[k]] = kUnbound;
   };
 
-  if (key_col >= 0) {
-    // Matching() returns a reference into the index, which recursive calls
-    // may extend (same-predicate joins); copy the candidate list.
-    std::vector<size_t> candidates =
-        rel.Matching(static_cast<size_t>(key_col), key_value);
-    for (size_t idx : candidates) try_tuple(rel.tuples()[idx]);
+  // Relations do not grow during a join (derived tuples are buffered in
+  // `out`), so chains and tuple views stay valid throughout.
+  if (access.chained) {
+    for (uint32_t row : access.chain) {
+      // Chains list tuples in insertion order, i.e. ascending row ids.
+      if (delta && row >= join->delta_hi) break;
+      if (delta && row < join->delta_lo) continue;
+      try_tuple(rel.tuple(row));
+    }
   } else {
-    // Iterate by position: recursion may append tuples to this relation's
-    // backing vector, so no iterators; new tuples are handled next round.
-    const size_t limit = rel.tuples().size();
-    for (size_t idx = 0; idx < limit; ++idx) try_tuple(rel.tuples()[idx]);
+    const size_t lo = delta ? join->delta_lo : 0;
+    const size_t hi = delta ? join->delta_hi : rel.size();
+    for (size_t row = lo; row < hi; ++row) try_tuple(rel.tuple(row));
   }
 }
 
@@ -129,51 +161,52 @@ void SemiNaive::Run() {
   if (ran_) return;
   ran_ = true;
 
-  // Load the EDB; the first delta is everything.
-  std::vector<DlRelation> delta;
-  delta.reserve(relations_.size());
+  // Program facts join the tuples loaded through InsertFact.
   for (PredId p = 0; p < program_->num_predicates(); ++p) {
-    delta.emplace_back(program_->arity(p));
     for (const std::vector<rdf::TermId>& fact : program_->facts()[p]) {
-      if (relations_[p].Insert(fact)) delta[p].Insert(fact);
+      relations_[p].Insert(fact);
     }
   }
+  // Relations are append-only, so each predicate's delta is a tuple range:
+  // the first delta is everything, each later one what the previous
+  // iteration added.
+  const size_t num_preds = relations_.size();
+  std::vector<size_t> lo(num_preds, 0), hi(num_preds);
+  for (PredId p = 0; p < num_preds; ++p) hi[p] = relations_[p].size();
 
   iterations_ = 0;
-  std::vector<std::vector<rdf::TermId>> derived;
   while (true) {
     ++iterations_;
-    std::vector<DlRelation> next_delta;
-    next_delta.reserve(relations_.size());
-    for (PredId p = 0; p < program_->num_predicates(); ++p) {
-      next_delta.emplace_back(program_->arity(p));
-    }
-    bool any_new = false;
     for (const DlRule& rule : program_->rules()) {
-      std::vector<rdf::TermId> bindings(CountRuleVars(rule), kUnbound);
       for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (delta[rule.body[i].pred].size() == 0) continue;
-        // Evaluate with body atom i restricted to the delta, and moved to
-        // the front of the join order so the delta drives the join.
-        std::vector<const DlAtom*> order;
-        order.reserve(rule.body.size());
-        order.push_back(&rule.body[i]);
+        const PredId pred = rule.body[i].pred;
+        if (lo[pred] == hi[pred]) continue;
+        // Evaluate with body atom i restricted to the delta; it leads the
+        // join so the delta drives it.
+        engine::Table derived;
+        derived.SetArity(rule.head.args.size());
+        Join join{&rule.head, {}, std::vector<rdf::TermId>(
+                                      CountRuleVars(rule), kUnbound),
+                  true, lo[pred], hi[pred], &derived};
+        join.order.reserve(rule.body.size());
+        join.order.push_back(&rule.body[i]);
         for (size_t j = 0; j < rule.body.size(); ++j) {
-          if (j != i) order.push_back(&rule.body[j]);
+          if (j != i) join.order.push_back(&rule.body[j]);
         }
-        derived.clear();
-        JoinBody(rule.head, order, 0, &delta[rule.body[i].pred], &bindings,
-                 &derived);
-        for (const std::vector<rdf::TermId>& tuple : derived) {
-          if (relations_[rule.head.pred].Insert(tuple)) {
-            next_delta[rule.head.pred].Insert(tuple);
-            any_new = true;
-          }
+        JoinBody(&join, 0);
+        DlRelation& target = relations_[rule.head.pred];
+        for (size_t r = 0; r < derived.NumRows(); ++r) {
+          target.Insert(derived.row(r));
         }
       }
     }
+    bool any_new = false;
+    for (PredId p = 0; p < num_preds; ++p) {
+      lo[p] = hi[p];
+      hi[p] = relations_[p].size();
+      any_new = any_new || lo[p] != hi[p];
+    }
     if (!any_new) break;
-    delta = std::move(next_delta);
   }
 }
 
@@ -183,27 +216,14 @@ size_t SemiNaive::TotalTuples() const {
   return total;
 }
 
-std::vector<std::vector<rdf::TermId>> SemiNaive::EvaluateRuleOnce(
-    const DlRule& rule) const {
-  std::vector<rdf::TermId> bindings(CountRuleVars(rule), kUnbound);
-  std::vector<std::vector<rdf::TermId>> out;
-  std::vector<const DlAtom*> order;
-  order.reserve(rule.body.size());
-  // Constants-first ordering: atoms with more constant arguments are more
-  // selective leading scans.
-  for (const DlAtom& a : rule.body) order.push_back(&a);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const DlAtom* a, const DlAtom* b) {
-                     auto consts = [](const DlAtom* atom) {
-                       size_t n = 0;
-                       for (const DlTerm& t : atom->args) {
-                         if (!t.is_var) ++n;
-                       }
-                       return n;
-                     };
-                     return consts(a) > consts(b);
-                   });
-  JoinBody(rule.head, order, 0, /*first_override=*/nullptr, &bindings, &out);
+engine::Table SemiNaive::EvaluateRuleOnce(const DlRule& rule) const {
+  engine::Table out;
+  out.SetArity(rule.head.args.size());
+  Join join{&rule.head, {},
+            std::vector<rdf::TermId>(CountRuleVars(rule), kUnbound),
+            false, 0, 0, &out};
+  for (const DlAtom& a : rule.body) join.order.push_back(&a);
+  JoinBody(&join, 0);
   return out;
 }
 

@@ -6,8 +6,8 @@
 #include <cstring>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
+
+#include "engine/row_index.h"
 
 namespace rdfref {
 namespace engine {
@@ -18,29 +18,6 @@ namespace {
   std::fprintf(stderr, "rdfref: engine::Table: %s\n", message);
   std::abort();
 }
-
-// Hashes `stride` ids starting at `base + index * stride`. Used by Dedup
-// and HashJoin to key hash containers on arena slices by row index — the
-// arena pointer must stay fixed while the container lives.
-struct SliceHash {
-  const rdf::TermId* base;
-  size_t stride;
-  size_t operator()(size_t index) const {
-    const rdf::TermId* row = base + index * stride;
-    size_t seed = 0x51ed270b;
-    for (size_t k = 0; k < stride; ++k) seed = HashCombine(seed, row[k]);
-    return seed;
-  }
-};
-
-struct SliceEq {
-  const rdf::TermId* base;
-  size_t stride;
-  bool operator()(size_t a, size_t b) const {
-    return std::memcmp(base + a * stride, base + b * stride,
-                       stride * sizeof(rdf::TermId)) == 0;
-  }
-};
 
 }  // namespace
 
@@ -127,18 +104,16 @@ void Table::Dedup() {
   if (n < 2) return;
   // Compact kept rows toward the front: candidate row r is copied to write
   // position w (w <= r, so nothing unprocessed is clobbered), then looked
-  // up among the already-kept slices [0, w). The set stores compacted row
-  // indexes and hashes the arena in place.
-  SliceHash hash{data_.data(), arity_};
-  SliceEq eq{data_.data(), arity_};
-  std::unordered_set<size_t, SliceHash, SliceEq> seen(n, hash, eq);
+  // up among the already-kept rows [0, w) of the arena.
+  RowIndex seen(arity_, 0, arity_);
+  seen.Reserve(n);
   size_t w = 0;
   for (size_t r = 0; r < n; ++r) {
     if (w != r) {
       std::memmove(data_.data() + w * arity_, data_.data() + r * arity_,
                    arity_ * sizeof(rdf::TermId));
     }
-    if (seen.insert(w).second) ++w;
+    if (seen.FindOrInsert(data_.data(), w) == w) ++w;
   }
   data_.resize(w * arity_);
 }
@@ -230,39 +205,23 @@ Table HashJoin(const Table& left, const Table& right) {
     return out;
   }
 
-  // Build on the right side: one flat key arena (one slot per build row,
-  // plus a scratch slot the probe key is written into), and first/next
-  // chains so each key's rows replay in build order.
-  std::vector<rdf::TermId> keys((nr + 1) * nk);
+  // Build on the right side: one flat key arena (one key per build row),
+  // chained so each key's rows replay in build order.
+  std::vector<rdf::TermId> keys(nr * nk);
   for (size_t r = 0; r < nr; ++r) {
     std::span<const rdf::TermId> rrow = right.row(r);
     for (size_t k = 0; k < nk; ++k) keys[r * nk + k] = rrow[right_key[k]];
   }
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  std::vector<size_t> next(nr, kNone);
-  SliceHash hash{keys.data(), nk};
-  SliceEq eq{keys.data(), nk};
-  // key-arena row index -> (first, last) build row of its chain.
-  std::unordered_map<size_t, std::pair<size_t, size_t>, SliceHash, SliceEq>
-      build(nr, hash, eq);
-  for (size_t r = 0; r < nr; ++r) {
-    auto [it, inserted] = build.try_emplace(r, r, r);
-    if (!inserted) {
-      next[it->second.second] = r;
-      it->second.second = r;
-    }
-  }
+  RowIndex build(nk, 0, nk);
+  build.Reserve(nr);
+  for (size_t r = 0; r < nr; ++r) build.Append(keys.data(), r);
 
-  // Probe with the left side; the scratch slot holds the probe key.
-  const size_t scratch = nr;
+  // Probe with the left side.
+  std::vector<rdf::TermId> probe(nk);
   for (size_t l = 0; l < nl; ++l) {
     std::span<const rdf::TermId> lrow = left.row(l);
-    for (size_t k = 0; k < nk; ++k) {
-      keys[scratch * nk + k] = lrow[left_key[k]];
-    }
-    auto it = build.find(scratch);
-    if (it == build.end()) continue;
-    for (size_t r = it->second.first; r != kNone; r = next[r]) {
+    for (size_t k = 0; k < nk; ++k) probe[k] = lrow[left_key[k]];
+    for (uint32_t r : build.Find(keys.data(), probe.data())) {
       rdf::TermId* slot = out.AppendUninitialized();
       if (!lrow.empty()) {
         std::memcpy(slot, lrow.data(), lrow.size() * sizeof(rdf::TermId));

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/hash.h"
 #include "query/cq.h"
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
@@ -23,18 +22,6 @@ namespace engine {
 /// VarId, which can never alias a real variable during fragment joins.
 inline constexpr query::VarId kConstColumn =
     std::numeric_limits<query::VarId>::max();
-
-/// \brief Hash functor for a materialized row (vector of TermIds). The
-/// Table itself hashes stride slices in place; this functor remains for
-/// callers that still key containers on row vectors (e.g. the semi-naive
-/// Datalog fact set).
-struct RowHash {
-  size_t operator()(const std::vector<rdf::TermId>& row) const {
-    size_t seed = 0x51ed270b;
-    for (rdf::TermId id : row) seed = HashCombine(seed, id);
-    return seed;
-  }
-};
 
 /// \brief A materialized intermediate or final result: a bag of fixed-arity
 /// rows stored columnar-batch style in one contiguous arena.
@@ -143,7 +130,7 @@ class Table {
   std::set<std::vector<rdf::TermId>> RowSet() const;
 
   /// \brief Removes duplicate rows (set semantics), keeping first
-  /// occurrences in order; in place, one hash-set allocation total.
+  /// occurrences in order; in place, through one flat RowIndex.
   void Dedup();
 
   /// \brief Sorts rows lexicographically (deterministic output for tests).
@@ -162,9 +149,10 @@ class Table {
 
 /// \brief Hash-joins two tables on their shared columns (natural join).
 /// With no shared column this is the cross product. Output columns are
-/// left.columns followed by the non-shared right columns. Keys are hashed
-/// as stride slices of a flat build-side key arena — no per-row
-/// materialization.
+/// left.columns followed by the non-shared right columns. The right side
+/// is the build side: its keys go into one flat arena under a chained
+/// RowIndex, so output rows come left-major and, per left row, in build
+/// order — no per-row materialization.
 Table HashJoin(const Table& left, const Table& right);
 
 }  // namespace engine

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace rdfref {
 namespace query {
 namespace {
@@ -52,7 +54,7 @@ Cq Step(const Cq& q) {
 
   Cq out;
   for (size_t i = 0; i < rank.size(); ++i) {
-    out.AddVar("v" + std::to_string(i));
+    out.AddVar(Numbered("v", i));
   }
   auto conv = [&rank](const QTerm& t) {
     return t.is_var ? QTerm::Var(rank.at(t.var())) : t;

@@ -68,20 +68,26 @@ bool Cq::IsSafe() const {
 
 std::string Cq::CanonicalKey() const {
   std::unordered_map<VarId, uint32_t> renaming;
-  auto canon = [&renaming](const QTerm& t) -> std::string {
-    if (!t.is_var) return "c" + std::to_string(t.id);
+  std::ostringstream key;
+  auto canon = [&renaming, &key](const QTerm& t) -> std::ostringstream& {
+    if (!t.is_var) {
+      key << 'c' << t.id;
+      return key;
+    }
     auto it = renaming.find(t.var());
     if (it == renaming.end()) {
       it = renaming.emplace(t.var(), static_cast<uint32_t>(renaming.size()))
                .first;
     }
-    return "v" + std::to_string(it->second);
+    key << 'v' << it->second;
+    return key;
   };
-  std::ostringstream key;
-  for (const QTerm& t : head_) key << canon(t) << ",";
+  for (const QTerm& t : head_) canon(t) << ",";
   key << ":-";
   for (const Atom& a : body_) {
-    key << canon(a.s) << " " << canon(a.p) << " " << canon(a.o);
+    canon(a.s) << " ";
+    canon(a.p) << " ";
+    canon(a.o);
     if (a.has_range()) {
       // Interval atoms reference concrete dictionary intervals, so the raw
       // bounds (not renamed) are the canonical form.
@@ -113,7 +119,12 @@ std::string Cq::ToString(const rdf::Dictionary& dict) const {
   auto render_pos = [&](const Atom& a, const QTerm& t, uint8_t pos) {
     if (a.range_pos != pos) return render(t);
     // Interval position: [lo..hi] over the encoded id space.
-    return "[" + render(t) + " .. " + dict.Lookup(a.range_hi).ToString() + "]";
+    std::string interval = "[";
+    interval += render(t);
+    interval += " .. ";
+    interval += dict.Lookup(a.range_hi).ToString();
+    interval += "]";
+    return interval;
   };
   for (size_t i = 0; i < body_.size(); ++i) {
     if (i > 0) out << ", ";

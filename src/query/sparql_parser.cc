@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/string_util.h"
 #include "rdf/vocab.h"
 
 namespace rdfref {
@@ -331,7 +332,11 @@ Result<std::string> RenderGroup(const Cq& q, const rdf::Dictionary& dict,
                                 const NameFn& name_of) {
   std::string out = "{ ";
   auto render = [&](const QTerm& t) -> Result<std::string> {
-    if (t.is_var) return "?" + name_of(t.var());
+    if (t.is_var) {
+      std::string name = "?";
+      name += name_of(t.var());
+      return name;
+    }
     return RenderConst(t.term(), dict);
   };
   for (size_t i = 0; i < q.body().size(); ++i) {
@@ -402,7 +407,7 @@ Result<std::string> ToSparql(const Ucq& u, const rdf::Dictionary& dict) {
   // fresh x<n>. A head that repeats a variable cannot be renamed this way.
   std::string out = "SELECT";
   for (size_t i = 0; i < u.arity(); ++i) {
-    out += " ?h" + std::to_string(i);
+    out += Numbered(" ?h", i);
   }
   out += " WHERE ";
   for (size_t m = 0; m < u.size(); ++m) {
@@ -410,7 +415,7 @@ Result<std::string> ToSparql(const Ucq& u, const rdf::Dictionary& dict) {
     RDFREF_RETURN_NOT_OK(CheckSerializable(q));
     std::unordered_map<VarId, std::string> renamed;
     for (size_t i = 0; i < q.head().size(); ++i) {
-      if (!renamed.emplace(q.head()[i].var(), "h" + std::to_string(i))
+      if (!renamed.emplace(q.head()[i].var(), Numbered("h", i))
                .second) {
         return Status::InvalidArgument(
             "a UNION member repeats a head variable; not expressible");
@@ -419,7 +424,7 @@ Result<std::string> ToSparql(const Ucq& u, const rdf::Dictionary& dict) {
     int fresh = 0;
     for (VarId v : q.BodyVars()) {
       if (!renamed.count(v)) {
-        renamed.emplace(v, "x" + std::to_string(fresh++));
+        renamed.emplace(v, Numbered("x", fresh++));
       }
     }
     auto name_of = [&](VarId v) { return renamed.at(v); };

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/string_util.h"
 #include "rdf/dictionary.h"
 #include "rdf/triple.h"
 #include "rdf/vocab.h"
@@ -63,7 +64,7 @@ class Graph {
 
   /// \brief Returns a fresh blank node id (labels _:g0, _:g1, ...).
   TermId FreshBlank() {
-    return dict_->InternBlank("g" + std::to_string(blank_counter_++));
+    return dict_->InternBlank(Numbered("g", blank_counter_++));
   }
 
   /// \brief Deep copy with an *id-identical* dictionary: every TermId valid

@@ -6,7 +6,6 @@
 #include <limits>
 #include <set>
 #include <sstream>
-#include <unordered_set>
 #include <vector>
 
 #include "api/query_answering.h"
@@ -146,7 +145,8 @@ void ReferenceEvaluateCqInto(const storage::TripleSource& store, const Cq& q,
 
 // Seed-order dedup: keep the first occurrence of each row, in order.
 void ReferenceDedup(std::vector<std::vector<rdf::TermId>>* rows) {
-  std::unordered_set<std::vector<rdf::TermId>, engine::RowHash> seen;
+  // An ordered set: independent of the engine's hashing kernel.
+  std::set<std::vector<rdf::TermId>> seen;
   std::vector<std::vector<rdf::TermId>> kept;
   kept.reserve(rows->size());
   for (std::vector<rdf::TermId>& row : *rows) {

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "common/string_util.h"
 #include "datagen/sp2b.h"
 #include "rdf/vocab.h"
 
@@ -188,7 +189,7 @@ query::Cq GenerateQuery(const Scenario& sc, Rng* rng,
   Cq q;
   std::vector<VarId> pool;
   for (int i = 0; i < options.var_pool; ++i) {
-    pool.push_back(q.AddVar("v" + std::to_string(i)));
+    pool.push_back(q.AddVar(Numbered("v", i)));
   }
   auto var = [&]() { return QTerm::Var(pool[rng->Uniform(pool.size())]); };
   const int atoms = static_cast<int>(

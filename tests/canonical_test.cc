@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "query/cq.h"
 #include "query/ucq.h"
 #include "testing/scenario.h"
@@ -35,7 +36,7 @@ Cq RenameVars(const Cq& q) {
   Cq out;
   std::vector<VarId> map(q.num_vars());
   for (size_t v = q.num_vars(); v-- > 0;) {
-    map[v] = out.AddVar("r" + std::to_string(v));
+    map[v] = out.AddVar(Numbered("r", v));
   }
   auto remap = [&map](const QTerm& t) {
     return t.is_var ? QTerm::Var(map[t.var()]) : t;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "rdf/graph.h"
 #include "rdf/vocab.h"
 #include "storage/store.h"
@@ -22,9 +23,9 @@ class CardinalityTest : public ::testing::Test {
     person_ = U("Person");
     // 10 subjects each knowing 2 of 5 objects; 6 typed persons.
     for (int i = 0; i < 10; ++i) {
-      rdf::TermId s = U("s" + std::to_string(i));
-      graph_.Add(s, knows_, U("o" + std::to_string(i % 5)));
-      graph_.Add(s, knows_, U("o" + std::to_string((i + 1) % 5)));
+      rdf::TermId s = U(Numbered("s", i));
+      graph_.Add(s, knows_, U(Numbered("o", i % 5)));
+      graph_.Add(s, knows_, U(Numbered("o", (i + 1) % 5)));
       if (i < 6) graph_.Add(s, rdf::vocab::kTypeId, person_);
     }
     store_ = std::make_unique<storage::Store>(graph_);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "query/cover.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
@@ -22,11 +23,11 @@ class CostModelTest : public ::testing::Test {
   void SetUp() override {
     // A popular property and a rare one.
     for (int i = 0; i < 1000; ++i) {
-      graph_.Add(U("s" + std::to_string(i)), U("popular"),
-                 U("o" + std::to_string(i % 20)));
+      graph_.Add(U(Numbered("s", i)), U("popular"),
+                 U(Numbered("o", i % 20)));
     }
     for (int i = 0; i < 5; ++i) {
-      graph_.Add(U("s" + std::to_string(i)), U("rare"), U("r"));
+      graph_.Add(U(Numbered("s", i)), U("rare"), U("r"));
     }
     store_ = std::make_unique<storage::Store>(graph_);
   }

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/hash.h"
+#include "common/string_util.h"
 #include "reasoner/saturation.h"
 #include "rdf/vocab.h"
 
@@ -148,9 +149,9 @@ TEST_F(DredTest, RandomizedDeleteMatchesResaturation) {
   // must equal the from-scratch saturation.
   Rng rng(1234);
   std::vector<rdf::TermId> classes, props, subjects;
-  for (int i = 0; i < 5; ++i) classes.push_back(U("C" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) props.push_back(U("p" + std::to_string(i)));
-  for (int i = 0; i < 8; ++i) subjects.push_back(U("s" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) classes.push_back(U(Numbered("C", i)));
+  for (int i = 0; i < 4; ++i) props.push_back(U(Numbered("p", i)));
+  for (int i = 0; i < 8; ++i) subjects.push_back(U(Numbered("s", i)));
   for (int i = 0; i < 4; ++i) {
     graph_.Add(classes[rng.Uniform(5)], vocab::kSubClassOfId,
                classes[rng.Uniform(5)]);
@@ -186,9 +187,9 @@ TEST_F(DredTest, RandomizedInsertMatchesResaturation) {
   // graph equals saturating everything from scratch.
   Rng rng(777);
   std::vector<rdf::TermId> classes, props, subjects;
-  for (int i = 0; i < 5; ++i) classes.push_back(U("C" + std::to_string(i)));
-  for (int i = 0; i < 4; ++i) props.push_back(U("p" + std::to_string(i)));
-  for (int i = 0; i < 8; ++i) subjects.push_back(U("s" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i) classes.push_back(U(Numbered("C", i)));
+  for (int i = 0; i < 4; ++i) props.push_back(U(Numbered("p", i)));
+  for (int i = 0; i < 8; ++i) subjects.push_back(U(Numbered("s", i)));
   graph_.Add(classes[0], vocab::kSubClassOfId, classes[1]);
   graph_.Add(classes[1], vocab::kSubClassOfId, classes[2]);
   graph_.Add(props[0], vocab::kSubPropertyOfId, props[1]);

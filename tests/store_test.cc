@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
 #include <utility>
 
 #include "api/query_answering.h"
+#include "common/string_util.h"
 #include "rdf/vocab.h"
 #include "storage/delta_store.h"
 #include "storage/serialize.h"
@@ -109,6 +111,48 @@ TEST_F(StoreTest, StatisticsAreExact) {
   EXPECT_EQ(ps.distinct_objects, 2u);
 }
 
+// (s? [lo..hi] o): no permutation clusters a property interval under a
+// bound object, so the probe serves the OSP (o[, s]) prefix zero-copy only
+// when every triple in it lies inside the interval, and otherwise leaves
+// the pattern to the filtering fallback. Either way the delivered triples
+// are exactly the matches, in SPO order.
+TEST_F(StoreTest, PropertyIntervalUnderBoundObjectIsExactOrFallsBack) {
+  rdf::TermId r = U("r");  // interned after p and q: outside [p..q]
+  graph_.Add(s2_, r, o2_);
+  Store store(graph_);
+  constexpr int kRangeP = 1;  // query::Atom::kRangeP
+  const rdf::TermId lo = std::min(p_, q_), hi = std::max(p_, q_);
+  ASSERT_TRUE(r > hi);
+  auto expected = [&](rdf::TermId s, rdf::TermId o) {
+    std::vector<rdf::Triple> out;
+    store.ScanInto(s, kAny, o, &out);
+    std::erase_if(out, [&](const rdf::Triple& t) {
+      return t.p < lo || t.p > hi;
+    });
+    return out;
+  };
+  std::span<const rdf::Triple> span;
+  // o1's in-edges are p and q only: served zero-copy, with or without s.
+  ASSERT_TRUE(store.TryGetIntervalRange(kAny, lo, o1_, kRangeP, hi, &span));
+  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
+            expected(kAny, o1_));
+  EXPECT_EQ(span.size(), 3u);
+  ASSERT_TRUE(store.TryGetIntervalRange(s1_, lo, o1_, kRangeP, hi, &span));
+  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
+            expected(s1_, o1_));
+  // o2 also has an r in-edge: the prefix is not exact, so no fast path...
+  EXPECT_FALSE(store.TryGetIntervalRange(kAny, lo, o2_, kRangeP, hi, &span));
+  EXPECT_FALSE(store.TryGetIntervalRange(s2_, lo, o2_, kRangeP, hi, &span));
+  // ...but s1's edges into o2 are all inside, and the fallback filters r.
+  EXPECT_TRUE(store.TryGetIntervalRange(s1_, lo, o2_, kRangeP, hi, &span));
+  PatternCursor cursor;
+  std::span<const rdf::Triple> got =
+      cursor.ResetInterval(store, kAny, lo, o2_, kRangeP, hi);
+  EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()),
+            expected(kAny, o2_));
+  EXPECT_EQ(got.size(), 2u);
+}
+
 // The hinted search must return exactly EqualRangeSpan's result for every
 // lookup sequence: monotone (the fast case), repeated, backward (stale
 // hint falls back), and across a change of pattern shape (which switches
@@ -123,10 +167,10 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   rdf::TermId other = uri("q");
   std::vector<rdf::TermId> subjects;
   for (int i = 0; i < 64; ++i) {
-    rdf::TermId s = uri("s" + std::to_string(i));
+    rdf::TermId s = uri(Numbered("s", i));
     subjects.push_back(s);
     for (int j = 0; j < 1 + i % 3; ++j) {
-      g.Add(s, prop, uri("o" + std::to_string(j)));
+      g.Add(s, prop, uri(Numbered("o", j)));
     }
     if (i % 2 == 0) g.Add(s, other, uri("x"));
   }

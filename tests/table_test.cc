@@ -1,14 +1,92 @@
 #include "engine/table.h"
 
 #include <limits>
+#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
+#include "engine/row_index.h"
+
 namespace rdfref {
 namespace engine {
 namespace {
+
+using Rows = std::vector<std::vector<rdf::TermId>>;
+
+// Seeded rows with heavy duplication: most rows are drawn from a small pool
+// of prototypes, the rest are fresh random rows over a small domain.
+Rows RandomRows(Rng* rng, size_t arity, size_t n, size_t pool_size,
+                uint64_t domain) {
+  Rows pool(pool_size, std::vector<rdf::TermId>(arity));
+  for (auto& row : pool) {
+    for (rdf::TermId& v : row) v = static_cast<rdf::TermId>(rng->Uniform(domain));
+  }
+  Rows rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng->Chance(0.9)) {
+      rows.push_back(pool[rng->Uniform(pool_size)]);
+    } else {
+      std::vector<rdf::TermId> row(arity);
+      for (rdf::TermId& v : row) {
+        v = static_cast<rdf::TermId>(rng->Uniform(domain));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  return rows;
+}
+
+Table TableOf(size_t arity, const Rows& rows) {
+  std::vector<query::VarId> cols(arity);
+  for (size_t c = 0; c < arity; ++c) cols[c] = static_cast<query::VarId>(c);
+  Table t = Table::FromRows(std::move(cols), rows);
+  t.SetArity(arity);
+  return t;
+}
+
+// The reference Dedup: first occurrences in order, through an ordered set.
+Rows ReferenceDedup(const Rows& rows) {
+  std::set<std::vector<rdf::TermId>> seen;
+  Rows kept;
+  for (const auto& row : rows) {
+    if (seen.insert(row).second) kept.push_back(row);
+  }
+  return kept;
+}
+
+TEST(TableTest, DedupMatchesOrderedSetReference) {
+  Rng rng(20260114);
+  for (size_t arity = 1; arity <= 8; ++arity) {
+    const size_t n = (size_t{1} << 17) + 17 * arity;
+    const Rows rows = RandomRows(&rng, arity, n, 3000, arity == 1 ? 50000 : 16);
+    Table t = TableOf(arity, rows);
+    t.Dedup();
+    EXPECT_EQ(t.RowVectors(), ReferenceDedup(rows)) << "arity " << arity;
+  }
+}
+
+TEST(TableTest, DedupOfEmptyAndSingleRowTables) {
+  Table empty;
+  empty.Dedup();
+  EXPECT_EQ(empty.NumRows(), 0u);
+  EXPECT_FALSE(empty.has_arity());
+  Table typed;
+  typed.SetArity(3);
+  typed.Dedup();
+  EXPECT_EQ(typed.NumRows(), 0u);
+  Table zero;
+  zero.SetArity(0);
+  zero.Dedup();
+  EXPECT_EQ(zero.NumRows(), 0u);  // no rows stays no rows
+  Table one = Table::FromRows({0}, {{4}});
+  one.Dedup();
+  EXPECT_EQ(one.RowVectors(), (Rows{{4}}));
+}
 
 TEST(TableTest, DedupRemovesDuplicatesKeepingFirstOccurrenceOrder) {
   Table t = Table::FromRows({0, 1}, {{1, 2}, {1, 2}, {3, 4}, {1, 2}, {5, 6}});
@@ -177,6 +255,107 @@ TEST(HashJoinTest, EmptySideOfCrossProductYieldsEmpty) {
   EXPECT_EQ(HashJoin(empty, nonempty).NumRows(), 0u);
   EXPECT_EQ(HashJoin(nonempty, empty).NumRows(), 0u);
   EXPECT_EQ(HashJoin(empty, nonempty).columns.size(), 2u);
+}
+
+// The nested-loop reference of HashJoin's row order: left-major, and for
+// each left row the matching right rows in their original order.
+Rows ReferenceJoin(const Table& left, const Table& right) {
+  std::vector<std::pair<int, int>> key;
+  std::vector<int> carry;
+  for (size_t j = 0; j < right.columns.size(); ++j) {
+    int li = left.ColumnOf(right.columns[j]);
+    if (li >= 0) {
+      key.emplace_back(li, static_cast<int>(j));
+    } else {
+      carry.push_back(static_cast<int>(j));
+    }
+  }
+  Rows out;
+  for (size_t l = 0; l < left.NumRows(); ++l) {
+    for (size_t r = 0; r < right.NumRows(); ++r) {
+      bool match = true;
+      for (auto [lc, rc] : key) match = match && left.row(l)[lc] == right.row(r)[rc];
+      if (!match) continue;
+      std::vector<rdf::TermId> row(left.row(l).begin(), left.row(l).end());
+      for (int c : carry) row.push_back(right.row(r)[c]);
+      out.push_back(std::move(row));
+    }
+  }
+  return out;
+}
+
+TEST(HashJoinTest, MatchesNestedLoopRowOrder) {
+  Rng rng(77);
+  // (left columns, right columns): one, two and three key columns, keys
+  // in different column positions on each side.
+  const std::vector<std::pair<std::vector<query::VarId>,
+                              std::vector<query::VarId>>>
+      shapes = {{{0, 1}, {1, 2}},
+                {{0, 1, 2}, {2, 3, 0}},
+                {{0, 1, 2, 3}, {3, 1, 4, 2}}};
+  for (const auto& [lcols, rcols] : shapes) {
+    // A domain of 3 makes long per-key chains (hundreds of build rows
+    // per key) alongside keys with no partner.
+    const Rows lrows = RandomRows(&rng, lcols.size(), 400, 60, 3);
+    const Rows rrows = RandomRows(&rng, rcols.size(), 900, 200, 3);
+    const Table left = Table::FromRows(lcols, lrows);
+    const Table right = Table::FromRows(rcols, rrows);
+    const Table joined = HashJoin(left, right);
+    const Rows expected = ReferenceJoin(left, right);
+    ASSERT_GT(expected.size(), 1000u);
+    EXPECT_EQ(joined.RowVectors(), expected);
+  }
+}
+
+TEST(HashJoinTest, ZeroArityLeftIsCrossProduct) {
+  Table unit;
+  unit.SetArity(0);
+  unit.AppendRow(std::span<const rdf::TermId>{});
+  unit.AppendRow(std::span<const rdf::TermId>{});
+  Table right = Table::FromRows({1}, {{7}, {8}});
+  Table joined = HashJoin(unit, right);
+  EXPECT_EQ(joined.columns, (std::vector<query::VarId>{1}));
+  EXPECT_EQ(joined.RowVectors(), (Rows{{7}, {8}, {7}, {8}}));
+}
+
+// Direct kernel checks: growth from an empty index (no Reserve), set
+// semantics and chains against std::map references.
+TEST(RowIndexTest, SetAndChainsMatchMapReferenceAcrossGrowth) {
+  Rng rng(5);
+  const size_t arity = 3;
+  const Rows rows = RandomRows(&rng, arity, 50000, 4000, 40);
+  std::vector<rdf::TermId> arena;
+  RowIndex set(arity, 0, arity);
+  RowIndex by_middle(arity, 1, 1);
+  std::map<std::vector<rdf::TermId>, uint32_t> first;
+  std::map<rdf::TermId, std::vector<uint32_t>> chains;
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    arena.insert(arena.end(), rows[r].begin(), rows[r].end());
+    const uint32_t kept = first.emplace(rows[r], r).first->second;
+    ASSERT_EQ(set.FindOrInsert(arena.data(), r), kept);
+    by_middle.Append(arena.data(), r);
+    chains[rows[r][1]].push_back(r);
+  }
+  for (const auto& [value, expected] : chains) {
+    RowIndex::Chain chain = by_middle.Find(arena.data(), &value);
+    ASSERT_EQ(chain.size(), expected.size());
+    std::vector<uint32_t> got;
+    for (uint32_t row : chain) got.push_back(row);
+    EXPECT_EQ(got, expected);
+  }
+  const rdf::TermId absent = 1000;
+  EXPECT_TRUE(by_middle.Find(arena.data(), &absent).empty());
+  EXPECT_TRUE(RowIndex(1, 0, 1).Find(nullptr, &absent).empty());
+}
+
+// Row 2^32 - 1 is the empty-slot sentinel: indexing it (a table of 2^32
+// rows) must abort, not wrap. The check precedes any arena read.
+TEST(RowIndexDeathTest, RowsBeyondThirtyTwoBitIdsAbort) {
+  const rdf::TermId arena[1] = {0};
+  EXPECT_DEATH(RowIndex(1, 0, 1).FindOrInsert(arena, RowIndex::kNoRow),
+               "2\\^32");
+  EXPECT_DEATH(RowIndex(1, 0, 1).Append(arena, size_t{1} << 32), "2\\^32");
+  EXPECT_DEATH(RowIndex(1, 0, 1).Reserve(size_t{1} << 32), "2\\^32");
 }
 
 TEST(TableTest, ToStringTruncates) {
