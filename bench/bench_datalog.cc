@@ -6,17 +6,16 @@
 // constant factors); per-query evaluation then comparable to Sat; Ref
 // avoids the upfront cost entirely.
 //
-// `--max-dat-vs-sat=R` adds an in-run gate: whole-suite Dat and Sat passes
+// Every run also applies an in-run gate: whole-suite Dat and Sat passes
 // alternate in this process, and the run exits non-zero when the median
-// Dat pass takes more than R times the median Sat pass. Both sides share
-// the machine and the heap, so the ratio holds on noisy runners.
+// Dat pass takes more than kMaxDatVsSat times the median Sat pass. Both
+// sides share the machine and the heap, so the ratio holds on noisy
+// runners.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include "common/timer.h"
@@ -81,9 +80,12 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-// The T7 gate: returns false when Dat's suite pass exceeds `max_ratio`
+// The T7 gate's limit on a Dat suite pass over a Sat suite pass.
+constexpr double kMaxDatVsSat = 8;
+
+// The T7 gate: returns false when Dat's suite pass exceeds kMaxDatVsSat
 // times Sat's. Repetitions alternate which strategy goes first.
-bool DatVsSatGate(double max_ratio) {
+bool DatVsSatGate() {
   api::QueryAnswerer* answerer = SharedLubm();
   std::vector<query::Cq> suite;
   for (const auto& [name, text] : LubmQuerySuite()) {
@@ -104,9 +106,9 @@ bool DatVsSatGate(double max_ratio) {
   const double ratio = dat_ms / sat_ms;
   std::printf("T7 gate: suite pass DAT %.2f ms / SAT %.2f ms = %.2fx "
               "(median of %d alternating passes; limit %.1fx) %s\n\n",
-              dat_ms, sat_ms, ratio, kReps, max_ratio,
-              ratio <= max_ratio ? "PASS" : "FAIL");
-  return ratio <= max_ratio;
+              dat_ms, sat_ms, ratio, kReps, kMaxDatVsSat,
+              ratio <= kMaxDatVsSat ? "PASS" : "FAIL");
+  return ratio <= kMaxDatVsSat;
 }
 
 void BM_DatalogClosure(benchmark::State& state) {
@@ -137,20 +139,8 @@ BENCHMARK(BM_DatalogQuery)->Unit(benchmark::kMillisecond);
 }  // namespace rdfref
 
 int main(int argc, char** argv) {
-  // Consume --max-dat-vs-sat=R before google-benchmark sees the flags.
-  const char* kGateFlag = "--max-dat-vs-sat=";
-  double max_ratio = 0.0;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kGateFlag, std::strlen(kGateFlag)) == 0) {
-      max_ratio = std::atof(argv[i] + std::strlen(kGateFlag));
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
   rdfref::bench::PrintDatalogTable();
-  if (max_ratio > 0.0 && !rdfref::bench::DatVsSatGate(max_ratio)) return 1;
+  if (!rdfref::bench::DatVsSatGate()) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

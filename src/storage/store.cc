@@ -275,18 +275,11 @@ bool Store::TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
     // Property interval [p, hi].
     const bool bs = s != kAny;
     if (o != kAny) {
-      // (s? [lo..hi] o): no order clusters the interval, but the (o[, s])
-      // prefix of OSP holds every match, in SPO order since o is fixed.
-      // It is the exact answer when all of its triples fall inside the
-      // interval, as when an object's in-edges all come from one property
-      // family; otherwise the buffered fallback filters it.
-      r = bs ? PrefixRange<OrderOsp>(osp_, rdf::Triple(s, kMin, o),
-                                     rdf::Triple(s, kMax, o))
-             : PrefixRange<OrderOsp>(osp_, rdf::Triple(kMin, kMin, o),
-                                     rdf::Triple(kMax, kMax, o));
-      for (const rdf::Triple* t = r.first; t != r.second; ++t) {
-        if (t->p < p || t->p > hi) return false;
-      }
+      // (s [lo..hi] o): OSP orders the (o, s) prefix by property. With s
+      // unbound, (? [lo..hi] o) interleaves subjects: buffered fallback.
+      if (!bs) return false;
+      r = PrefixRange<OrderOsp>(osp_, rdf::Triple(s, p, o),
+                                rdf::Triple(s, hi, o));
     } else if (bs) {
       r = PrefixRange<OrderSpo>(spo_, rdf::Triple(s, p, kMin),
                                 rdf::Triple(s, hi, kMax));

@@ -93,11 +93,10 @@ class Store : public TripleSource {
   /// one clustered permutation stores the interval contiguously —
   ///   object interval   (s p [lo..hi]) on SPO, (? p [lo..hi]) on POS,
   ///                     (? ? [lo..hi]) on OSP;
-  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO;
-  /// and for (s? [lo..hi] o) when every triple of the (o[, s]) prefix of
-  /// OSP lies inside the interval. (s ? [lo..hi]) and the mixed
-  /// (s? [lo..hi] o) cases interleave other ids inside every order and
-  /// return false (buffered fallback).
+  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO,
+  ///                     (s [lo..hi] o) on OSP.
+  /// The remaining shapes — (s ? [lo..hi]) and (? [lo..hi] o) — interleave
+  /// other ids inside every order and return false (buffered fallback).
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
                            std::span<const rdf::Triple>* out) const override;

@@ -168,8 +168,11 @@ class TripleSource {
 
   /// \brief Interval batch fallback: clears `*out` and appends every match
   /// of the pattern with the ranged position relaxed to [lo, hi]. The
-  /// default widens the ranged position to a wildcard scan and filters;
-  /// sources with better access paths may override.
+  /// default widens the ranged position to a wildcard and keeps the
+  /// widened matches inside the interval, reading them once: straight from
+  /// the TryGetRange block when there is one, otherwise from a ScanInto
+  /// batch filtered in place. Sources with better access paths may
+  /// override.
   virtual void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                 int range_pos, rdf::TermId hi,
                                 std::vector<rdf::Triple>* out) const {
@@ -178,11 +181,20 @@ class TripleSource {
     const rdf::TermId ws = s;
     const rdf::TermId wp = on_p ? kAny : p;
     const rdf::TermId wo = on_p ? o : kAny;
-    out->clear();
-    Scan(ws, wp, wo, [&](const rdf::Triple& t) {
+    auto outside = [&](const rdf::Triple& t) {
       const rdf::TermId v = on_p ? t.p : t.o;
-      if (v >= lo && v <= hi) out->push_back(t);
-    });
+      return v < lo || v > hi;
+    };
+    std::span<const rdf::Triple> widened;
+    if (TryGetRange(ws, wp, wo, &widened)) {
+      out->clear();
+      for (const rdf::Triple& t : widened) {
+        if (!outside(t)) out->push_back(t);
+      }
+      return;
+    }
+    ScanInto(ws, wp, wo, out);
+    std::erase_if(*out, outside);
   }
 
   /// \brief Number of triples matching the interval pattern: exact when the

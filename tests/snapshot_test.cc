@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -229,6 +230,64 @@ TEST_F(SnapshotTest, IntervalProbesAreConservativeAgainstMidIntervalOverlays) {
   SnapshotPtr other = untouched.snapshot();
   ASSERT_TRUE(other->TryGetIntervalRange(kAny, p_, o1_, kRangeO, o2_, &span));
   EXPECT_EQ(span.size(), 3u);
+}
+
+// Property intervals under a bound object through every overlay state:
+// base only, sealed runs that add, a sealed run that removes, and a head
+// write. Whenever the zero-copy probe answers — (s [lo..hi] o) forwards to
+// one generation's OSP range — and for the buffered fallback otherwise,
+// the delivered triples are exactly the visible matches, in SPO order.
+TEST_F(SnapshotTest, PropertyIntervalUnderBoundObjectAcrossSealedRuns) {
+  constexpr int kRangeP = 1;  // query::Atom::kRangeP
+  rdf::TermId r = U("r");     // interned after p and q: outside [p..q]
+  rdf::TermId s3 = U("s3");
+  const rdf::TermId lo = std::min(p_, q_), hi = std::max(p_, q_);
+  ASSERT_TRUE(r > hi);
+  VersionSet v(base_.get());
+  auto check_all = [&](const SnapshotSource& snap) {
+    const std::vector<rdf::Triple> visible = snap.Materialize();
+    PatternCursor cursor;
+    size_t zero_copy = 0;
+    for (rdf::TermId o : {o1_, o2_}) {
+      for (rdf::TermId s : {kAny, s1_, s2_, s3}) {
+        std::vector<rdf::Triple> want;
+        for (const rdf::Triple& t : visible) {
+          if ((s == kAny || t.s == s) && t.o == o && t.p >= lo && t.p <= hi) {
+            want.push_back(t);
+          }
+        }
+        std::span<const rdf::Triple> span;
+        if (snap.TryGetIntervalRange(s, lo, o, kRangeP, hi, &span)) {
+          ++zero_copy;
+          EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()), want);
+        }
+        std::span<const rdf::Triple> got =
+            cursor.ResetInterval(snap, s, lo, o, kRangeP, hi);
+        EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()), want);
+      }
+    }
+    return zero_copy;
+  };
+  // Base only: every bound-subject probe is zero-copy.
+  EXPECT_EQ(check_all(*v.snapshot()), 6u);
+  // Two sealed runs that add, inside and outside the interval.
+  ASSERT_TRUE(v.Insert(rdf::Triple(s3, p_, o1_)));
+  ASSERT_TRUE(v.Insert(rdf::Triple(s3, r, o1_)));
+  v.Freeze();
+  ASSERT_TRUE(v.Insert(rdf::Triple(s2_, r, o2_)));
+  ASSERT_TRUE(v.Insert(rdf::Triple(s3, q_, o2_)));
+  v.Freeze();
+  ASSERT_EQ(v.snapshot()->num_runs(), 2u);
+  EXPECT_GT(check_all(*v.snapshot()), 0u);
+  // A sealed run that removes a base triple inside the interval.
+  ASSERT_TRUE(v.Remove(rdf::Triple(s1_, q_, o1_)));
+  v.Freeze();
+  check_all(*v.snapshot());
+  // A head write on top of the sealed runs.
+  ASSERT_TRUE(v.Insert(rdf::Triple(s1_, q_, o2_)));
+  check_all(*v.snapshot());
+  v.Compact();
+  EXPECT_EQ(check_all(*v.snapshot()), 6u);
 }
 
 TEST_F(SnapshotTest, CompactPreservesVisibilityAndDrainsRuns) {

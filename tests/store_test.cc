@@ -111,12 +111,12 @@ TEST_F(StoreTest, StatisticsAreExact) {
   EXPECT_EQ(ps.distinct_objects, 2u);
 }
 
-// (s? [lo..hi] o): no permutation clusters a property interval under a
-// bound object, so the probe serves the OSP (o[, s]) prefix zero-copy only
-// when every triple in it lies inside the interval, and otherwise leaves
-// the pattern to the filtering fallback. Either way the delivered triples
-// are exactly the matches, in SPO order.
-TEST_F(StoreTest, PropertyIntervalUnderBoundObjectIsExactOrFallsBack) {
+// (s [lo..hi] o) is contiguous in OSP, whose (o, s) prefix is ordered by
+// property, and is served zero-copy. (? [lo..hi] o) interleaves subjects
+// in every order, so it takes the buffered fallback, which filters the
+// (o) prefix in one pass. Either way the delivered triples are exactly the
+// matches, in SPO order.
+TEST_F(StoreTest, PropertyIntervalUnderBoundObject) {
   rdf::TermId r = U("r");  // interned after p and q: outside [p..q]
   graph_.Add(s2_, r, o2_);
   Store store(graph_);
@@ -132,25 +132,25 @@ TEST_F(StoreTest, PropertyIntervalUnderBoundObjectIsExactOrFallsBack) {
     return out;
   };
   std::span<const rdf::Triple> span;
-  // o1's in-edges are p and q only: served zero-copy, with or without s.
-  ASSERT_TRUE(store.TryGetIntervalRange(kAny, lo, o1_, kRangeP, hi, &span));
-  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
-            expected(kAny, o1_));
-  EXPECT_EQ(span.size(), 3u);
-  ASSERT_TRUE(store.TryGetIntervalRange(s1_, lo, o1_, kRangeP, hi, &span));
-  EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
-            expected(s1_, o1_));
-  // o2 also has an r in-edge: the prefix is not exact, so no fast path...
-  EXPECT_FALSE(store.TryGetIntervalRange(kAny, lo, o2_, kRangeP, hi, &span));
-  EXPECT_FALSE(store.TryGetIntervalRange(s2_, lo, o2_, kRangeP, hi, &span));
-  // ...but s1's edges into o2 are all inside, and the fallback filters r.
-  EXPECT_TRUE(store.TryGetIntervalRange(s1_, lo, o2_, kRangeP, hi, &span));
   PatternCursor cursor;
-  std::span<const rdf::Triple> got =
-      cursor.ResetInterval(store, kAny, lo, o2_, kRangeP, hi);
-  EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()),
-            expected(kAny, o2_));
-  EXPECT_EQ(got.size(), 2u);
+  for (rdf::TermId o : {o1_, o2_}) {
+    for (rdf::TermId s : {s1_, s2_}) {
+      ASSERT_TRUE(store.TryGetIntervalRange(s, lo, o, kRangeP, hi, &span));
+      EXPECT_EQ(std::vector<rdf::Triple>(span.begin(), span.end()),
+                expected(s, o));
+    }
+    EXPECT_FALSE(store.TryGetIntervalRange(kAny, lo, o, kRangeP, hi, &span));
+    std::span<const rdf::Triple> got =
+        cursor.ResetInterval(store, kAny, lo, o, kRangeP, hi);
+    EXPECT_EQ(std::vector<rdf::Triple>(got.begin(), got.end()),
+              expected(kAny, o));
+  }
+  // s2's edges into o2 are q (inside) and r (outside): the span drops r.
+  ASSERT_TRUE(store.TryGetIntervalRange(s2_, lo, o2_, kRangeP, hi, &span));
+  ASSERT_EQ(span.size(), 1u);
+  EXPECT_EQ(span[0], rdf::Triple(s2_, q_, o2_));
+  EXPECT_EQ(cursor.ResetInterval(store, kAny, lo, o2_, kRangeP, hi).size(),
+            2u);
 }
 
 // The hinted search must return exactly EqualRangeSpan's result for every
