@@ -1,6 +1,7 @@
 #ifndef RDFREF_BENCH_BENCH_COMMON_H_
 #define RDFREF_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -103,6 +104,13 @@ inline query::Cq Example1Query(api::QueryAnswerer* answerer,
 /// \brief The paper's winning cover for Example 1 (0-indexed atoms).
 inline query::Cover Example1PaperCover() {
   return query::Cover({{0, 2}, {2, 4}, {1, 3}, {3, 5}});
+}
+
+/// \brief The median of `v` (the upper one for an even count): the
+/// statistic of the in-run ratio gates.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace bench

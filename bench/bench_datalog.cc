@@ -14,7 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -73,11 +72,6 @@ double SuitePassMillis(api::QueryAnswerer* answerer,
     benchmark::DoNotOptimize(table);
   }
   return timer.ElapsedMillis();
-}
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
 }
 
 // The T7 gate's limit on a Dat suite pass over a Sat suite pass.

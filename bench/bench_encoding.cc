@@ -15,13 +15,22 @@
 // one range scan when encoded. Q9-teachers shows the same collapse inside
 // a three-atom join. Qdeep-taxon isolates the hierarchy cost on a
 // synthetic 256-class subclass chain where the union is purely subclass
-// members — LUBM's Person union keeps 27 domain/range-derived members
-// that no interval can absorb, so its collapse is partial (44 -> 28).
+// members — LUBM's Person union keeps 23 domain/range-derived members
+// that no type interval can absorb, so its collapse is partial (44 -> 24).
 // The `cqs` counter reports the evaluated UCQ size — the structural
-// effect the wall-clock speedup comes from.
+// effect the wall-clock speedup comes from. Q6-members is the LUBM suite's
+// largest reformulation (a variable class joined with memberOf).
+//
+// Every run also applies an in-run gate: for each case, classic and
+// interval passes alternate in this process, and the run exits non-zero
+// when the median interval pass takes more than kMaxIntervalVsClassic
+// times the median classic pass. Both sides share the machine and the
+// heap, so the ratio holds on noisy runners.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <string>
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/timer.h"
 #include "rdf/vocab.h"
 
 namespace rdfref {
@@ -80,7 +90,65 @@ const EncodingCase kCases[] = {
      "?s ub:takesCourse ?c . ?s a ub:Student . }"},
     {"Qdeep-taxon", DeepTaxonAnswerer,
      "SELECT ?x WHERE { ?x a <http://deep.example/C0> . }"},
+    {"Q6-members", LubmAnswerer,
+     "SELECT ?x ?u ?z WHERE { ?x rdf:type ?u . ?x ub:memberOf ?z . }"},
 };
+
+// The gate's limit on an interval pass over a classic pass.
+constexpr double kMaxIntervalVsClassic = 1.1;
+
+// Milliseconds of `reps` Ref-UCQ answers of q.
+double PassMillis(api::QueryAnswerer* answerer, const query::Cq& q,
+                  const api::AnswerOptions& options, int reps) {
+  Timer timer;
+  for (int i = 0; i < reps; ++i) {
+    auto table = answerer->Answer(q, api::Strategy::kRefUcq, nullptr, options);
+    if (!table.ok()) std::abort();
+    benchmark::DoNotOptimize(table);
+  }
+  return timer.ElapsedMillis();
+}
+
+// The T15 gate: returns false when any case's interval pass exceeds
+// kMaxIntervalVsClassic times its classic pass. Repetitions alternate
+// which mode goes first; each pass repeats the query until the classic
+// side has run for about 50 ms, so a pass is never a single timer tick.
+bool IntervalVsClassicGate() {
+  std::printf("\n== T15 gate: interval vs classic Ref-UCQ ==\n");
+  std::printf("%-14s %14s %14s %8s\n", "query", "classic(ms)",
+              "interval(ms)", "ratio");
+  constexpr int kPasses = 9;
+  bool pass = true;
+  for (const EncodingCase& c : kCases) {
+    api::QueryAnswerer* answerer = c.answerer();
+    const query::Cq q = ParseUb(answerer, c.sparql);
+    api::AnswerOptions interval;
+    api::AnswerOptions classic;
+    classic.reform.use_encoding = false;
+    const double once = std::max(PassMillis(answerer, q, classic, 1), 0.01);
+    const int reps = std::clamp(static_cast<int>(50.0 / once), 1, 1000);
+    std::vector<double> classic_ms, interval_ms;
+    for (int rep = 0; rep < kPasses; ++rep) {
+      if (rep % 2 == 0) {
+        classic_ms.push_back(PassMillis(answerer, q, classic, reps));
+        interval_ms.push_back(PassMillis(answerer, q, interval, reps));
+      } else {
+        interval_ms.push_back(PassMillis(answerer, q, interval, reps));
+        classic_ms.push_back(PassMillis(answerer, q, classic, reps));
+      }
+    }
+    const double classic_med = Median(classic_ms) / reps;
+    const double interval_med = Median(interval_ms) / reps;
+    const double ratio = interval_med / classic_med;
+    const bool ok = ratio <= kMaxIntervalVsClassic;
+    pass = pass && ok;
+    std::printf("%-14s %14.3f %14.3f %7.2fx %s\n", c.name, classic_med,
+                interval_med, ratio, ok ? "PASS" : "FAIL");
+  }
+  std::printf("(median of %d alternating passes per query; limit %.1fx)\n\n",
+              kPasses, kMaxIntervalVsClassic);
+  return pass;
+}
 
 void RunCase(benchmark::State& state, const EncodingCase& c,
              bool use_encoding) {
@@ -123,4 +191,9 @@ BENCHMARK(BM_Encoding_Interval)->Apply(NameCases)->Unit(benchmark::kMillisecond)
 }  // namespace bench
 }  // namespace rdfref
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  if (!rdfref::bench::IntervalVsClassicGate()) return 1;
+  benchmark::Initialize(&argc, argv);
+  benchmark::RunSpecifiedBenchmarks();
+  return 0;
+}

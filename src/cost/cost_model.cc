@@ -19,8 +19,10 @@ double CostModel::CostCq(const Cq& q) const {
   const std::vector<Atom>& body = q.body();
   if (body.empty()) return 0.0;
 
-  // Greedy ordering by base estimate, preferring connected atoms — the same
-  // heuristic the evaluation engine uses.
+  // Greedy ordering by base estimate, preferring connected atoms. The
+  // engine starts the same way but ranks the depth-1 atom by fan-out
+  // sampled from the data, which a statistics-only estimate cannot see
+  // (a hub value costs here what a uniform value costs).
   const size_t n = body.size();
   std::vector<double> base(n);
   for (size_t i = 0; i < n; ++i) base[i] = estimator_.EstimateAtom(body[i]);

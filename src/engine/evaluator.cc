@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -44,13 +43,78 @@ rdf::TermId Resolve(const QTerm& t, const std::vector<rdf::TermId>& bindings) {
   return v == kUnbound ? storage::kAny : v;
 }
 
+// Rows of the first atom's leaf that rank the depth-1 candidates.
+constexpr size_t kOrderSamples = 8;
+
+// Ranks the atoms competing for depth 1 by sampled fan-out: binds the
+// first atom's variables from up to kOrderSamples rows at fixed strides of
+// its leaf range and sums each connected candidate's source count under
+// those bindings into (*fan_out)[i]. An unbound count spreads a hub (one
+// author on most documents) evenly over all values; the samples see it.
+// Counts go to the source directly: they are index probes, cheaper than a
+// memo lookup. Leaves *fan_out zero (the unbound order) when fewer than
+// two connected atoms compete, when the first atom repeats a variable (its
+// leaf is filtered at depth 0), or when the source's counts are remote.
+void SampleFanOut(const ScanCache& cache, const Cq& q, int first,
+                  const std::vector<std::vector<VarId>>& atom_vars,
+                  const std::vector<char>& bound,
+                  std::vector<uint64_t>* fan_out) {
+  const std::vector<Atom>& body = q.body();
+  const storage::TripleSource& source = cache.source();
+  const Atom& lead = body[first];
+  const int var_positions = lead.s.is_var + lead.p.is_var + lead.o.is_var;
+  if (!source.HasLocalCounts() ||
+      static_cast<int>(atom_vars[first].size()) != var_positions) {
+    return;
+  }
+  std::vector<int> candidates;
+  for (int i = 0; i < static_cast<int>(body.size()); ++i) {
+    if (i == first) continue;
+    const std::vector<VarId>& vars = atom_vars[i];
+    if (std::any_of(vars.begin(), vars.end(),
+                    [&](VarId v) { return bound[v] != 0; })) {
+      candidates.push_back(i);
+    }
+  }
+  if (candidates.size() < 2) return;
+  const std::vector<rdf::TermId> unbound(q.num_vars(), kUnbound);
+  const rdf::TermId s = Resolve(lead.s, unbound);
+  const rdf::TermId p = Resolve(lead.p, unbound);
+  const rdf::TermId o = Resolve(lead.o, unbound);
+  const std::span<const rdf::Triple> leaf =
+      lead.has_range()
+          ? cache.LeafIntervalRange(s, p, o, lead.range_pos, lead.range_hi)
+          : cache.LeafRange(s, p, o);
+  const size_t samples = std::min(kOrderSamples, leaf.size());
+  if (samples == 0) return;
+  std::vector<rdf::TermId> bindings = unbound;
+  for (size_t k = 0; k < samples; ++k) {
+    const rdf::Triple& row = leaf[k * leaf.size() / samples];
+    if (lead.s.is_var) bindings[lead.s.var()] = row.s;
+    if (lead.p.is_var) bindings[lead.p.var()] = row.p;
+    if (lead.o.is_var) bindings[lead.o.var()] = row.o;
+    for (int i : candidates) {
+      const Atom& a = body[i];
+      const rdf::TermId cs = Resolve(a.s, bindings);
+      const rdf::TermId cp = Resolve(a.p, bindings);
+      const rdf::TermId co = Resolve(a.o, bindings);
+      (*fan_out)[i] +=
+          a.has_range()
+              ? source.CountIntervalMatches(cs, cp, co, a.range_pos,
+                                            a.range_hi)
+              : source.CountMatches(cs, cp, co);
+    }
+  }
+}
+
 // Greedy join order: start from the atom with the smallest index-estimated
 // match count (variables wildcarded), then repeatedly append the
-// smallest-count atom connected to the already-ordered ones. Counts come
-// from the shared per-UCQ cache, so sibling members with the same atoms
-// never re-count; each atom's variables are computed once up front (flat
-// vectors probed against a bound bitmap) instead of a std::set rebuilt
-// inside the O(n²) selection loop.
+// smallest-count atom connected to the already-ordered ones; depth 1 is
+// decided by sampled fan-out when SampleFanOut can rank it. Unbound counts
+// come from the shared per-UCQ cache, so sibling members with the same
+// atoms never re-count; each atom's variables are computed once up front
+// (flat vectors probed against a bound bitmap) instead of a std::set
+// rebuilt inside the O(n²) selection loop.
 std::vector<int> OrderAtoms(const ScanCache& cache, const Cq& q) {
   const std::vector<Atom>& body = q.body();
   const int n = static_cast<int>(body.size());
@@ -71,9 +135,12 @@ std::vector<int> OrderAtoms(const ScanCache& cache, const Cq& q) {
   order.reserve(n);
   std::vector<bool> used(n, false);
   std::vector<char> bound(q.num_vars(), 0);
+  // Depth-1 ranking key ahead of the base count; all zero when unsampled.
+  std::vector<uint64_t> fan_out(n, 0);
   for (int step = 0; step < n; ++step) {
+    if (step == 1) SampleFanOut(cache, q, order[0], atom_vars, bound, &fan_out);
     int best = -1;
-    uint64_t best_count = std::numeric_limits<uint64_t>::max();
+    std::pair<uint64_t, uint64_t> best_key;
     bool best_connected = false;
     for (int i = 0; i < n; ++i) {
       if (used[i]) continue;
@@ -81,11 +148,13 @@ std::vector<int> OrderAtoms(const ScanCache& cache, const Cq& q) {
       bool connected =
           step == 0 || std::any_of(vars.begin(), vars.end(),
                                    [&](VarId v) { return bound[v] != 0; });
-      // Prefer connected atoms; among equals, the smaller base count.
+      const std::pair<uint64_t, uint64_t> key(step == 1 ? fan_out[i] : 0,
+                                              base[i]);
+      // Prefer connected atoms; among equals, the smaller key.
       if (best == -1 || (connected && !best_connected) ||
-          (connected == best_connected && base[i] < best_count)) {
+          (connected == best_connected && key < best_key)) {
         best = i;
-        best_count = base[i];
+        best_key = key;
         best_connected = connected;
       }
     }
@@ -171,6 +240,11 @@ struct RDFREF_BORROWS_FROM(source, cursor) JoinFrame {
   // in index order, so successive inner prefixes are non-decreasing and
   // the source can gallop from the previous position (see RangeHint).
   storage::RangeHint hint;
+  // Widened interval probe: the range holds the pattern with the ranged
+  // position (widened: kRangeP or kRangeO) wildcarded, and rows whose value
+  // there lies outside [lo, hi] are skipped as the frame iterates.
+  uint8_t widened = Atom::kRangeNone;
+  rdf::TermId lo = 0, hi = 0;
   VarId newly[3];
   int num_new = 0;
 };
@@ -279,12 +353,27 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     JoinFrame& f = frames[d];
     f.pos = 0;
     f.num_new = 0;
+    f.widened = Atom::kRangeNone;
     if (atom.has_range()) {
       // Interval atom (hierarchy-encoded reformulation): the ranged
       // position's pattern value is the interval's low endpoint.
+      const bool on_p = atom.range_pos == Atom::kRangeP;
+      // Under a bound subject (or, for a property interval, a bound
+      // object) the pattern widened to a wildcard at the ranged position is
+      // a short per-entity range.
+      const bool anchored =
+          ps != storage::kAny || (on_p && po != storage::kAny);
       if (d == 0 && !residual.any()) {
         f.range = cache->LeafIntervalRange(ps, pp, po, atom.range_pos,
                                            atom.range_hi);
+      } else if (anchored && !residual.any()) {
+        // Probed zero-copy from the frame's gallop hint like any point
+        // atom; the loop skips rows outside the interval.
+        f.range = f.cursor.Reset(*store_, ps, on_p ? storage::kAny : pp,
+                                 on_p ? po : storage::kAny, residual, &f.hint);
+        f.widened = atom.range_pos;
+        f.lo = on_p ? pp : po;
+        f.hi = atom.range_hi;
       } else {
         f.range = f.cursor.ResetInterval(*store_, ps, pp, po, atom.range_pos,
                                          atom.range_hi, residual);
@@ -337,6 +426,10 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
     }
     const rdf::Triple& t = f.range[f.pos++];
     if (++steps % kCancelStride == 0 && cancel.ShouldStop()) return false;
+    if (f.widened != Atom::kRangeNone) {
+      const rdf::TermId v = f.widened == Atom::kRangeP ? t.p : t.o;
+      if (v < f.lo || v > f.hi) continue;
+    }
     if (!bind_row(depth, t)) continue;
     if (depth + 1 == num_atoms) {
       rdf::TermId* row = out->AppendUninitialized();

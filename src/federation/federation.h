@@ -56,6 +56,8 @@ class FederatedSource : public storage::TripleSource {
   /// Scan actually returns.
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override RDFREF_EXCLUDES(mu_);
+  /// Every count is a per-endpoint fan-out: no sampled join ordering.
+  bool HasLocalCounts() const override { return false; }
   const rdf::Dictionary& dict() const override { return *dict_; }
 
   /// \brief Replaces the retry/breaker policy and resets all breakers.

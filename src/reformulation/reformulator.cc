@@ -104,6 +104,33 @@ Reformulator::Reformulator(const schema::Schema* schema,
                            const rdf::Dictionary* dict)
     : schema_(schema), options_(options), dict_(dict) {}
 
+std::optional<rdf::TermEncoding::Interval> Reformulator::FusedInterval(
+    rdf::TermId term, bool property_position) const {
+  const rdf::TermEncoding* enc =
+      options_.use_encoding && dict_ != nullptr ? dict_->encoding() : nullptr;
+  if (enc == nullptr) return std::nullopt;
+  std::optional<rdf::TermEncoding::Interval> iv =
+      property_position ? enc->PropertyInterval(term)
+                        : enc->ClassInterval(term);
+  // A single-id interval fuses nothing: classic enumeration.
+  if (iv.has_value() && iv->lo >= iv->hi) return std::nullopt;
+  return iv;
+}
+
+bool Reformulator::Absorbed(const Atom& atom) const {
+  // Rules 1 and 4 fire on exactly these atoms, and the fused interval they
+  // emit keeps the atom's other positions, bindings and resource
+  // constraints, with the atom's own term inside it.
+  if (atom.has_range() || atom.p.is_var) return false;
+  const rdf::TermId p = atom.p.term();
+  if (p == rdf::vocab::kTypeId) {
+    return !atom.o.is_var &&
+           FusedInterval(atom.o.term(), /*property_position=*/false);
+  }
+  return !rdf::vocab::IsSchemaProperty(p) &&
+         FusedInterval(p, /*property_position=*/true);
+}
+
 void Reformulator::EmitSubTermMembers(const AtomReformulation& member,
                                       const Atom& atom, rdf::TermId term,
                                       const std::set<rdf::TermId>& subs,
@@ -119,16 +146,9 @@ void Reformulator::EmitSubTermMembers(const AtomReformulation& member,
     out->push_back(bind_var ? DeriveBound(member, a, *bind_var, term, rule)
                             : Derive(member, a, rule));
   };
-  const rdf::TermEncoding* enc =
-      options_.use_encoding && dict_ != nullptr ? dict_->encoding() : nullptr;
-  std::optional<rdf::TermEncoding::Interval> iv;
-  if (enc != nullptr) {
-    iv = property_position ? enc->PropertyInterval(term)
-                           : enc->ClassInterval(term);
-  }
-  if (!iv.has_value() || iv->lo >= iv->hi) {
-    // No usable interval (or a single-id one, which fuses nothing):
-    // classic enumeration.
+  const std::optional<rdf::TermEncoding::Interval> iv =
+      FusedInterval(term, property_position);
+  if (!iv.has_value()) {
     for (rdf::TermId sub : subs) emit(classic_atom(sub));
     return;
   }
@@ -289,6 +309,9 @@ std::vector<AtomReformulation> Reformulator::ReformulateAtom(
       }
     }
   }
+  std::erase_if(result, [this](const AtomReformulation& m) {
+    return Absorbed(m.atom);
+  });
   return result;
 }
 
@@ -368,11 +391,19 @@ Result<Ucq> Reformulator::ReformulateByProduct(const Cq& q) const {
 }
 
 Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
+  // Absorbed CQs (see Absorbed) are expanded like any other but left out
+  // of the UCQ, so the max_cqs budget counts only the `live` ones.
+  auto absorbed = [this](const Cq& c) {
+    return std::any_of(c.body().begin(), c.body().end(),
+                       [this](const Atom& a) { return Absorbed(a); });
+  };
   std::vector<Cq> result;
+  uint64_t live = 0;
   std::unordered_set<std::string> seen;
   std::deque<size_t> worklist;
 
   result.push_back(q);
+  live += !absorbed(q);
   seen.insert(q.CanonicalKey());
   worklist.push_back(0);
 
@@ -399,18 +430,31 @@ Result<Ucq> Reformulator::ReformulateByWorklist(const Cq& q) const {
         for (const auto& [v, c] : m.bindings) next.Substitute(v, c);
         std::string key = next.CanonicalKey();
         if (seen.insert(std::move(key)).second) {
-          if (result.size() >= options_.max_cqs) {
+          const bool next_absorbed = absorbed(next);
+          if (!next_absorbed && live >= options_.max_cqs) {
             return Status::ResourceExhausted(
                 "UCQ reformulation exceeds max_cqs = " +
                 std::to_string(options_.max_cqs));
           }
+          live += !next_absorbed;
           result.push_back(std::move(next));
           worklist.push_back(result.size() - 1);
         }
       }
     }
   }
-  return Ucq(std::move(result));
+  std::vector<Cq> out;
+  out.reserve(live);
+  for (Cq& c : result) {
+    if (!absorbed(c)) out.push_back(std::move(c));
+  }
+  // Keep a member with q's own head first (the union's column labels come
+  // from members()[0]): the absorption chain from q always ends in one.
+  auto same_head = std::find_if(out.begin(), out.end(), [&q](const Cq& c) {
+    return c.head() == q.head();
+  });
+  if (same_head != out.end()) std::rotate(out.begin(), same_head, same_head + 1);
+  return Ucq(std::move(out));
 }
 
 Result<Ucq> Reformulator::Reformulate(const Cq& q) const {

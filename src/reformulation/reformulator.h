@@ -16,7 +16,8 @@ namespace reformulation {
 
 /// \brief Options bounding reformulation work.
 struct ReformulationOptions {
-  /// Hard cap on the number of CQs in a produced UCQ. The paper's Example 1
+  /// Hard cap on the number of CQs in a produced UCQ (absorbed members,
+  /// which never reach it, are not counted). The paper's Example 1
   /// reformulates into 318,096 CQs, "which could not even be parsed" by the
   /// target systems; we mirror that failure mode by refusing (with
   /// kResourceExhausted) to materialize UCQs beyond this bound.
@@ -80,9 +81,10 @@ class Reformulator {
 
   virtual ~Reformulator() = default;
 
-  /// \brief Reformulates a whole CQ into an equivalent UCQ (the original
-  /// query is always a member). Fails with kResourceExhausted beyond
-  /// options.max_cqs.
+  /// \brief Reformulates a whole CQ into an equivalent UCQ. The original
+  /// query is a member unless an interval member absorbed it (see
+  /// ReformulateAtom); members()[0] always carries q's head. Fails with
+  /// kResourceExhausted beyond options.max_cqs.
   Result<query::Ucq> Reformulate(const query::Cq& q) const;
 
   /// \brief Exact size of the UCQ reformulation of q. When per-atom
@@ -92,7 +94,9 @@ class Reformulator {
   Result<uint64_t> CountReformulations(const query::Cq& q) const;
 
   /// \brief Reformulates a single atom of q into its set of members.
-  /// Exposed for the SCQ strategy and the cost model.
+  /// Exposed for the SCQ strategy and the cost model. Absorbed members
+  /// (see Absorbed) are expanded by the rules, so their domain, range and
+  /// escape members are kept, but are left out of the result.
   std::vector<AtomReformulation> ReformulateAtom(const query::Cq& q,
                                                  const query::Atom& atom) const;
 
@@ -100,6 +104,14 @@ class Reformulator {
   /// that reformulation may bind (property-position variables, and
   /// class-position variables of type atoms) occurs in more than one atom.
   bool AtomsIndependent(const query::Cq& q) const;
+
+  /// \brief True when `atom` is a point atom whose own hierarchy rule
+  /// (1 or 4) emits an interval member covering it: the same atom with the
+  /// term's position widened to an interval that contains the term, under
+  /// the same bindings and resource constraints. The interval answers a
+  /// superset of the atom, so the atom is absorbed: left out of every UCQ
+  /// and not counted against max_cqs.
+  bool Absorbed(const query::Atom& atom) const;
 
   const schema::Schema& schema() const { return *schema_; }
   const ReformulationOptions& options() const { return options_; }
@@ -124,6 +136,12 @@ class Reformulator {
                           bool property_position,
                           std::optional<query::VarId> bind_var, int rule,
                           std::vector<AtomReformulation>* out) const;
+
+  /// The id interval rules 1/4/5/8 fuse `term`'s sub-terms into, or none
+  /// when encoding is off, `term` is unencoded, or its interval is a single
+  /// id (which fuses nothing).
+  std::optional<rdf::TermEncoding::Interval> FusedInterval(
+      rdf::TermId term, bool property_position) const;
 
   const schema::Schema* schema_;
   ReformulationOptions options_;

@@ -212,6 +212,12 @@ class TripleSource {
     return CountMatches(s, on_p ? kAny : p, on_p ? o : kAny);
   }
 
+  /// \brief True when CountMatches is a local, exact index probe: cheap
+  /// enough for the join orderer to sample bound fan-outs with it. A
+  /// mediator whose counts are remote fan-outs returns false and keeps the
+  /// unbound-count order.
+  virtual bool HasLocalCounts() const { return true; }
+
   /// \brief The dictionary the triples are encoded against.
   virtual const rdf::Dictionary& dict() const RDFREF_LIFETIME_BOUND = 0;
 };

@@ -16,12 +16,13 @@ uint64_t SubSeed(uint64_t seed, int trial, uint64_t salt) {
 
 /// Runs every enabled check for one (scenario, query) pair; the first
 /// divergence wins. `replay` must be stable so the shrinker can re-run the
-/// exact failing relation on reduced candidates.
+/// exact failing relation on reduced candidates. `report` (null while
+/// shrinking) collects the check and skip counters.
 Divergence RunChecks(const Scenario& sc, const query::Cq& q,
                      const FuzzOptions& options, uint64_t seed, int trial,
-                     uint64_t* checks_run) {
+                     FuzzReport* report) {
   auto count = [&](Divergence d) {
-    if (checks_run) ++*checks_run;
+    if (report != nullptr) ++report->checks_run;
     return d;
   };
 
@@ -39,7 +40,8 @@ Divergence RunChecks(const Scenario& sc, const query::Cq& q,
     if (d.found) return d;
   }
   if (options.check_encoded) {
-    Divergence d = count(CheckEncodedEquivalence(sc, q));
+    Divergence d = count(CheckEncodedEquivalence(
+        sc, q, report != nullptr ? &report->encoded_budget_skips : nullptr));
     if (d.found) return d;
   }
   if (options.check_metamorphic) {
@@ -104,7 +106,7 @@ bool RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
     query::Cq q = GenerateQuery(sc, &query_rng, options.query);
     ++report->queries_checked;
     Divergence d =
-        RunChecks(sc, q, options, seed, trial, &report->checks_run);
+        RunChecks(sc, q, options, seed, trial, report);
     if (!d.found) continue;
 
     FuzzFailure failure;

@@ -84,6 +84,10 @@ struct FuzzReport {
   uint64_t seeds_run = 0;
   uint64_t queries_checked = 0;
   uint64_t checks_run = 0;
+  /// Classic-side comparisons the encoded oracle skipped because classic
+  /// reformulation exceeded its budget (the interval side was still
+  /// checked against saturation).
+  uint64_t encoded_budget_skips = 0;
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }
 };

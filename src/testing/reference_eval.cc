@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
+#include <span>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -31,9 +31,44 @@ rdf::TermId Resolve(const QTerm& t, const std::vector<rdf::TermId>& bindings) {
   return v == kUnbound ? storage::kAny : v;
 }
 
+// Sum over up to 8 rows at fixed strides of atom `first`'s matches of
+// atom `cand`'s match count with `first`'s variables bound from the row:
+// the engine's depth-1 fan-out sample, recomputed through the batch API.
+uint64_t ReferenceFanOut(const storage::TripleSource& store, const Cq& q,
+                         int first, int cand) {
+  const Atom& lead = q.body()[first];
+  const Atom& a = q.body()[cand];
+  std::vector<rdf::TermId> bindings(q.num_vars(), kUnbound);
+  const rdf::TermId s = Resolve(lead.s, bindings);
+  const rdf::TermId p = Resolve(lead.p, bindings);
+  const rdf::TermId o = Resolve(lead.o, bindings);
+  storage::PatternCursor cursor;
+  const std::span<const rdf::Triple> leaf =
+      lead.has_range()
+          ? cursor.ResetInterval(store, s, p, o, lead.range_pos,
+                                 lead.range_hi)
+          : cursor.Reset(store, s, p, o);
+  const size_t samples = std::min<size_t>(8, leaf.size());
+  uint64_t sum = 0;
+  for (size_t k = 0; k < samples; ++k) {
+    const rdf::Triple& row = leaf[k * leaf.size() / samples];
+    if (lead.s.is_var) bindings[lead.s.var()] = row.s;
+    if (lead.p.is_var) bindings[lead.p.var()] = row.p;
+    if (lead.o.is_var) bindings[lead.o.var()] = row.o;
+    const rdf::TermId cs = Resolve(a.s, bindings);
+    const rdf::TermId cp = Resolve(a.p, bindings);
+    const rdf::TermId co = Resolve(a.o, bindings);
+    sum += a.has_range() ? store.CountIntervalMatches(cs, cp, co, a.range_pos,
+                                                      a.range_hi)
+                         : store.CountMatches(cs, cp, co);
+  }
+  return sum;
+}
+
 // The seed engine's greedy join order, kept with its original O(n²)
-// std::set bookkeeping: the reference must agree with the engine's order
-// (the counts are the same store answers), not share its code.
+// std::set bookkeeping, plus the engine's sampled depth-1 pick: the
+// reference must agree with the engine's order (the counts are the same
+// store answers), not share its code.
 std::vector<int> ReferenceOrderAtoms(const storage::TripleSource& store,
                                      const Cq& q) {
   const std::vector<Atom>& body = q.body();
@@ -52,20 +87,43 @@ std::vector<int> ReferenceOrderAtoms(const storage::TripleSource& store,
   std::vector<bool> used(n, false);
   std::set<VarId> bound_vars;
   for (int step = 0; step < n; ++step) {
+    auto connected_to_bound = [&](int i) {
+      std::set<VarId> vars = Cq::AtomVars(body[i]);
+      return std::any_of(vars.begin(), vars.end(), [&](VarId v) {
+        return bound_vars.count(v) > 0;
+      });
+    };
+    // Depth 1 is ranked by sampled fan-out when at least two connected
+    // atoms compete, the first atom repeats no variable and the source's
+    // counts are local.
+    std::vector<uint64_t> fan_out(n, 0);
+    if (step == 1 && store.HasLocalCounts()) {
+      const Atom& lead = body[order[0]];
+      const size_t var_positions =
+          lead.s.is_var + lead.p.is_var + lead.o.is_var;
+      std::vector<int> candidates;
+      for (int i = 0; i < n; ++i) {
+        if (!used[i] && connected_to_bound(i)) candidates.push_back(i);
+      }
+      if (candidates.size() >= 2 &&
+          Cq::AtomVars(lead).size() == var_positions) {
+        for (int i : candidates) {
+          fan_out[i] = ReferenceFanOut(store, q, order[0], i);
+        }
+      }
+    }
     int best = -1;
-    uint64_t best_count = std::numeric_limits<uint64_t>::max();
     bool best_connected = false;
     for (int i = 0; i < n; ++i) {
       if (used[i]) continue;
-      std::set<VarId> vars = Cq::AtomVars(body[i]);
-      bool connected =
-          step == 0 || std::any_of(vars.begin(), vars.end(), [&](VarId v) {
-            return bound_vars.count(v) > 0;
-          });
-      if (best == -1 || (connected && !best_connected) ||
-          (connected == best_connected && base[i] < best_count)) {
+      bool connected = step == 0 || connected_to_bound(i);
+      bool better =
+          best == -1 || (connected && !best_connected) ||
+          (connected == best_connected &&
+           (fan_out[i] < fan_out[best] ||
+            (fan_out[i] == fan_out[best] && base[i] < base[best])));
+      if (better) {
         best = i;
-        best_count = base[i];
         best_connected = connected;
       }
     }

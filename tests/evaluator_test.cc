@@ -6,6 +6,8 @@
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
 #include "rdf/vocab.h"
+#include "storage/version_set.h"
+#include "testing/reference_eval.h"
 
 namespace rdfref {
 namespace engine {
@@ -300,6 +302,169 @@ TEST_F(EvaluatorTest, ExplainJucqIndentsEveryNestedPlanLine) {
   // No nested line may appear without its indent.
   EXPECT_EQ(plan.find("\nCQ plan"), std::string::npos);
   EXPECT_EQ(plan.find("\n  scan"), std::string::npos);
+}
+
+
+// A7-shaped fixture with a hub: one author on every document, plus one
+// own author per document, and three citations per document. By unbound
+// counts hasAuthor (2 per document) beats cites (3 per document), so the
+// join would probe ?y hasAuthor ?p second and fan out through the hub on
+// half of the outer rows; sampling the first atom's rows sees the hub.
+class HubFixtureTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    constexpr int kDocs = 60;
+    const rdf::TermId has_author = U("hasAuthor");
+    const rdf::TermId cites = U("cites");
+    const rdf::TermId hub = U("hub");
+    std::vector<rdf::TermId> docs;
+    for (int i = 0; i < kDocs; ++i) docs.push_back(U("doc" + std::to_string(i)));
+    for (int i = 0; i < kDocs; ++i) {
+      graph_.Add(docs[i], has_author, hub);
+      graph_.Add(docs[i], has_author, U("author" + std::to_string(i)));
+      for (int k = 1; k <= 3; ++k) {
+        graph_.Add(docs[i], cites, docs[(i * 7 + k * 11) % kDocs]);
+      }
+    }
+    store_ = std::make_unique<storage::Store>(graph_);
+  }
+
+  rdf::TermId U(const std::string& name) {
+    return graph_.dict().InternUri("http://ex/" + name);
+  }
+
+  Cq A7() {
+    auto q = query::ParseSparql(
+        "SELECT ?x ?y ?p WHERE { ?x <http://ex/hasAuthor> ?p . "
+        "?y <http://ex/hasAuthor> ?p . ?x <http://ex/cites> ?y . }",
+        &graph_.dict());
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *q;
+  }
+
+  rdf::Graph graph_;
+  std::unique_ptr<storage::Store> store_;
+};
+
+TEST_F(HubFixtureTest, SampledFanOutPutsCitesSecond) {
+  Evaluator eval(store_.get());
+  const Cq q = A7();
+  const std::vector<int> order = eval.AtomOrder(q);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], 0);  // the two hasAuthor atoms tie; the first leads
+  EXPECT_EQ(order[1], 2);  // cites under a bound ?x, not the hub fan-out
+  EXPECT_EQ(order[2], 1);
+}
+
+TEST_F(HubFixtureTest, ExplainCqPrintsTheEvaluationOrder) {
+  Evaluator eval(store_.get());
+  const Cq q = A7();
+  const std::string plan = eval.ExplainCq(q);
+  std::vector<int> printed;
+  for (size_t at = plan.find(" t"); at != std::string::npos;
+       at = plan.find(" t", at + 1)) {
+    printed.push_back(plan[at + 2] - '0');
+  }
+  EXPECT_EQ(printed, eval.AtomOrder(q)) << plan;
+  EXPECT_EQ(printed, (std::vector<int>{0, 2, 1})) << plan;
+}
+
+TEST_F(HubFixtureTest, AnswersEqualTheReferenceEvaluator) {
+  const Cq q = A7();
+  // A second member with the atoms permuted: the union's members order
+  // their atoms independently.
+  Cq permuted = q;
+  std::swap((*permuted.mutable_body())[0], (*permuted.mutable_body())[2]);
+  const Ucq ucq({q, permuted});
+  const Table expected_cq = testing::ReferenceEvaluateCq(*store_, q);
+  const Table expected_ucq = testing::ReferenceEvaluateUcq(*store_, ucq);
+  EXPECT_GT(expected_cq.NumRows(), 0u);
+  for (int threads : {1, 4}) {
+    Evaluator eval(store_.get(), threads);
+    EXPECT_FALSE(testing::CompareBitForBit("cq", eval.EvaluateCq(q),
+                                           expected_cq, q, graph_.dict())
+                     .found)
+        << "threads=" << threads;
+    EXPECT_FALSE(testing::CompareBitForBit("ucq", eval.EvaluateUcq(ucq),
+                                           expected_ucq, q, graph_.dict())
+                     .found)
+        << "threads=" << threads;
+  }
+}
+
+// An inner property-interval atom under a bound subject is probed through
+// the widened pattern (property wildcarded) and filtered per row. Over a
+// snapshot whose sealed runs add and remove triples inside, at and outside
+// the interval, the answers must be exactly the visible matches.
+TEST(WidenedIntervalFrameTest, SnapshotWithSealedRunsEqualsVisibleMatches) {
+  rdf::Graph graph;
+  auto u = [&graph](const std::string& name) {
+    return graph.dict().InternUri("http://ex/" + name);
+  };
+  const rdf::TermId knows = u("knows");
+  // Consecutive ids: [p1, p3] is a property interval, p0 and p4 lie
+  // outside it.
+  const rdf::TermId p0 = u("p0"), p1 = u("p1"), p2 = u("p2"), p3 = u("p3"),
+                    p4 = u("p4");
+  ASSERT_EQ(p3, p1 + 2);
+  std::vector<rdf::TermId> e;
+  for (const char* name : {"e0", "e1", "e2", "e3", "e4", "e5"}) {
+    e.push_back(u(name));
+  }
+  graph.Add(e[0], knows, e[1]);
+  graph.Add(e[0], knows, e[2]);
+  graph.Add(e[3], knows, e[2]);
+  graph.Add(e[1], p1, e[4]);
+  graph.Add(e[1], p2, e[5]);
+  graph.Add(e[1], p0, e[3]);
+  graph.Add(e[2], p3, e[0]);
+  graph.Add(e[2], p4, e[1]);
+  storage::Store base(graph);
+
+  storage::VersionSet versions(&base);
+  ASSERT_TRUE(versions.Insert(rdf::Triple(e[2], p2, e[3])));  // inside
+  ASSERT_TRUE(versions.Insert(rdf::Triple(e[1], p4, e[0])));  // outside
+  versions.Freeze();
+  ASSERT_TRUE(versions.Remove(rdf::Triple(e[1], p2, e[5])));  // inside
+  ASSERT_TRUE(versions.Insert(rdf::Triple(e[1], p3, e[2])));  // upper end
+  versions.Freeze();
+  ASSERT_TRUE(versions.Remove(rdf::Triple(e[0], knows, e[1])));
+  ASSERT_TRUE(versions.Insert(rdf::Triple(e[4], knows, e[1])));
+  ASSERT_TRUE(versions.Insert(rdf::Triple(e[2], p1, e[2])));  // head write
+  storage::SnapshotPtr snap = versions.snapshot();
+
+  // q(a, x, y) :- a knows x . x [p1..p3] y
+  Cq q;
+  const VarId a = q.AddVar("a"), x = q.AddVar("x"), y = q.AddVar("y");
+  q.AddAtom(Atom(QTerm::Var(a), QTerm::Const(knows), QTerm::Var(x)));
+  Atom ranged(QTerm::Var(x), QTerm::Const(p1), QTerm::Var(y));
+  ranged.range_pos = Atom::kRangeP;
+  ranged.range_hi = p3;
+  q.AddAtom(ranged);
+  for (VarId v : {a, x, y}) q.AddHead(QTerm::Var(v));
+
+  Evaluator eval(snap.get());
+  ASSERT_EQ(eval.AtomOrder(q), (std::vector<int>{0, 1}));
+  const Table got = eval.EvaluateCq(q);
+
+  const std::vector<rdf::Triple> visible = snap->Materialize();
+  std::set<std::vector<rdf::TermId>> expected;
+  for (const rdf::Triple& k : visible) {
+    if (k.p != knows) continue;
+    for (const rdf::Triple& t : visible) {
+      if (t.s == k.o && t.p >= p1 && t.p <= p3) {
+        expected.insert({k.s, k.o, t.o});
+      }
+    }
+  }
+  EXPECT_EQ(got.RowSet(), expected);
+  EXPECT_EQ(expected.size(), 8u);
+  // Bit-for-bit against a pristine store over the same visible triples.
+  storage::Store rebuilt(&graph.dict(), visible);
+  Evaluator fresh(&rebuilt);
+  EXPECT_FALSE(testing::CompareBitForBit("widened", got, fresh.EvaluateCq(q),
+                                         q, graph.dict())
+                   .found);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/query_answering.h"
 #include "datagen/bibliography.h"
+#include "datagen/sp2b.h"
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
 
@@ -305,6 +307,169 @@ TEST_F(ReformulatorTest, EmptySchemaLeavesQueryAlone) {
   Result<Ucq> ucq = ref.Reformulate(q);
   ASSERT_TRUE(ucq.ok());
   EXPECT_EQ(ucq->size(), 1u);
+}
+
+
+// The sp2b mix shapes over a hierarchy-encoded dictionary: every hierarchy
+// atom collapses into its interval, and the point atom the interval grew
+// from is absorbed rather than kept beside it.
+class EncodedSp2bTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    rdf::Graph g;
+    datagen::Sp2bConfig config;
+    config.documents = 40;
+    datagen::Sp2b::Generate(config, &g);
+    answerer_ = new api::QueryAnswerer(std::move(g));
+  }
+  static void TearDownTestSuite() {
+    delete answerer_;
+    answerer_ = nullptr;
+  }
+
+  static Cq Parse(const std::string& body) {
+    Result<Cq> q = query::ParseSparql(
+        "PREFIX sp: <http://rdfref.org/sp2b#>\n" + body, &answerer_->dict());
+    EXPECT_TRUE(q.ok()) << q.status();
+    return *q;
+  }
+
+  // The sp2b-serve mix shapes with their encoded UCQ sizes.
+  struct Shape {
+    const char* name;
+    const char* body;
+    size_t members;
+  };
+  static std::vector<Shape> Shapes() {
+    return {
+        {"P1", "SELECT ?x WHERE { ?x sp:cites <http://rdfref.org/sp2b#doc/0> . }",
+         1},
+        {"T2", "SELECT ?d WHERE { ?d a sp:Publication . }", 20},
+        {"V3", "SELECT ?d ?v WHERE { ?d sp:publishedIn ?v . ?v a sp:Event . }",
+         2},
+        {"S4",
+         "SELECT ?d ?p ?o WHERE { ?d a sp:Article . ?d sp:hasContributor ?p . "
+         "?d sp:publishedIn <http://rdfref.org/sp2b#venue/0> . "
+         "?d sp:references ?o . }",
+         2},
+        {"C5",
+         "SELECT ?w ?x ?y ?v WHERE { "
+         "?w sp:hasFirstAuthor <http://rdfref.org/sp2b#author/0> . "
+         "?w sp:cites ?x . ?x sp:cites ?y . ?y sp:publishedIn ?v . }",
+         1},
+        {"Y6", "SELECT ?x ?y WHERE { ?x sp:cites ?y . ?y sp:cites ?x . }", 1},
+        {"A7",
+         "SELECT ?x ?y ?p WHERE { ?x sp:hasAuthor ?p . ?y sp:hasAuthor ?p . "
+         "?x sp:cites ?y . }",
+         1},
+    };
+  }
+
+  // True when `a` is a point atom whose term has a multi-id interval in
+  // the encoding: the interval member emitted for it would contain it.
+  static bool CoveredPointAtom(const Atom& a) {
+    const rdf::TermEncoding* enc = answerer_->dict().encoding();
+    if (a.has_range() || a.p.is_var) return false;
+    std::optional<rdf::TermEncoding::Interval> iv;
+    if (a.p.term() == vocab::kTypeId) {
+      if (a.o.is_var) return false;
+      iv = enc->ClassInterval(a.o.term());
+    } else if (!vocab::IsSchemaProperty(a.p.term())) {
+      iv = enc->PropertyInterval(a.p.term());
+    }
+    return iv.has_value() && iv->lo < iv->hi;
+  }
+
+  static api::QueryAnswerer* answerer_;
+};
+
+api::QueryAnswerer* EncodedSp2bTest::answerer_ = nullptr;
+
+TEST_F(EncodedSp2bTest, ShapesReformulateToExactMemberCounts) {
+  ASSERT_NE(answerer_->dict().encoding(), nullptr);
+  Reformulator ref(&answerer_->schema(), {}, &answerer_->dict());
+  for (const Shape& shape : Shapes()) {
+    Result<Ucq> ucq = ref.Reformulate(Parse(shape.body));
+    ASSERT_TRUE(ucq.ok()) << shape.name;
+    EXPECT_EQ(ucq->size(), shape.members) << shape.name;
+  }
+}
+
+TEST_F(EncodedSp2bTest, NoMemberKeepsAPointAtomItsIntervalCovers) {
+  ReformulationOptions worklist;
+  worklist.force_worklist = true;
+  const Reformulator product(&answerer_->schema(), {}, &answerer_->dict());
+  const Reformulator general(&answerer_->schema(), worklist,
+                             &answerer_->dict());
+  const IncompleteReformulator incomplete(&answerer_->schema(), {},
+                                          &answerer_->dict());
+  for (const Reformulator* ref : {&product, &general,
+                                  static_cast<const Reformulator*>(
+                                      &incomplete)}) {
+    for (const Shape& shape : Shapes()) {
+      const Cq q = Parse(shape.body);
+      Result<Ucq> ucq = ref->Reformulate(q);
+      ASSERT_TRUE(ucq.ok()) << shape.name;
+      for (const Cq& member : ucq->members()) {
+        for (const Atom& a : member.body()) {
+          EXPECT_FALSE(CoveredPointAtom(a))
+              << shape.name << ": " << member.ToString(answerer_->dict());
+        }
+      }
+      // The column labels of a union come from its first member.
+      EXPECT_EQ(ucq->members()[0].head(), q.head()) << shape.name;
+      for (const Atom& atom : q.body()) {
+        for (const AtomReformulation& m : ref->ReformulateAtom(q, atom)) {
+          EXPECT_FALSE(CoveredPointAtom(m.atom)) << shape.name;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(EncodedSp2bTest, ProductAndWorklistAgreeAndCountMatches) {
+  ReformulationOptions worklist;
+  worklist.force_worklist = true;
+  const Reformulator product(&answerer_->schema(), {}, &answerer_->dict());
+  const Reformulator general(&answerer_->schema(), worklist,
+                             &answerer_->dict());
+  auto keys = [](const Ucq& ucq) {
+    std::set<std::string> out;
+    for (const Cq& cq : ucq.members()) out.insert(cq.CanonicalKey());
+    return out;
+  };
+  for (const Shape& shape : Shapes()) {
+    const Cq q = Parse(shape.body);
+    Result<Ucq> a = product.Reformulate(q);
+    Result<Ucq> b = general.Reformulate(q);
+    ASSERT_TRUE(a.ok() && b.ok()) << shape.name;
+    EXPECT_EQ(keys(*a), keys(*b)) << shape.name;
+    Result<uint64_t> na = product.CountReformulations(q);
+    Result<uint64_t> nb = general.CountReformulations(q);
+    ASSERT_TRUE(na.ok() && nb.ok()) << shape.name;
+    EXPECT_EQ(*na, a->size()) << shape.name;
+    EXPECT_EQ(*nb, b->size()) << shape.name;
+  }
+}
+
+TEST_F(EncodedSp2bTest, AbsorbedMembersDoNotCountAgainstTheBudget) {
+  // T2's union holds 20 live members; the worklist also expands the point
+  // members their intervals absorbed, which must not trip a budget the
+  // produced UCQ fits.
+  ReformulationOptions options;
+  options.force_worklist = true;
+  options.max_cqs = 20;
+  const Reformulator ref(&answerer_->schema(), options, &answerer_->dict());
+  Result<Ucq> ucq =
+      ref.Reformulate(Parse("SELECT ?d WHERE { ?d a sp:Publication . }"));
+  ASSERT_TRUE(ucq.ok()) << ucq.status();
+  EXPECT_EQ(ucq->size(), 20u);
+  options.max_cqs = 19;
+  const Reformulator tight(&answerer_->schema(), options, &answerer_->dict());
+  EXPECT_EQ(tight.Reformulate(Parse("SELECT ?d WHERE { ?d a sp:Publication . }"))
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
 }
 
 }  // namespace

@@ -231,12 +231,13 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "fuzz: %llu seed(s), %llu quer%s, %llu check(s), "
-               "%zu divergence(s)\n",
+               "%zu divergence(s), %llu encoded classic-budget skip(s)\n",
                static_cast<unsigned long long>(report.seeds_run),
                static_cast<unsigned long long>(report.queries_checked),
                report.queries_checked == 1 ? "y" : "ies",
                static_cast<unsigned long long>(report.checks_run),
-               report.failures.size());
+               report.failures.size(),
+               static_cast<unsigned long long>(report.encoded_budget_skips));
 
   if (!report.failures.empty()) {
     const FuzzFailure& failure = report.failures.front();
